@@ -4,9 +4,7 @@ from .truthtable import Assignment, TruthTable, parse_hex
 from .aig import AigCircuit, AndGate, Literal, from_aiger, to_aiger
 from .npn import NpnClass, NpnClassTable, NpnTransform, apply_transform, canonicalize, enumerate_classes
 from .synthesis import (
-    Backend,
     OptResult,
-    PruningFlags,
     Status,
     SynthesisConfig,
     brute_oracle,
@@ -16,7 +14,7 @@ from .synthesis import (
     opt_size,
 )
 from .repair import RepairReport, build_detector, repair_clear, repair_multi, repair_set
-from .mutation import MutationEdge, MutationGraph, build_graph, class_neighbors, summary_stats, verify_bound
+from .mutation import MutationEdge, MutationGraph, build_graph, class_neighbors, verify_bound
 from .store import ResultRecord, append_record, load_store
 
 __all__ = [
@@ -34,9 +32,7 @@ __all__ = [
     "apply_transform",
     "canonicalize",
     "enumerate_classes",
-    "Backend",
     "OptResult",
-    "PruningFlags",
     "Status",
     "SynthesisConfig",
     "brute_oracle",
@@ -53,7 +49,6 @@ __all__ = [
     "MutationGraph",
     "build_graph",
     "class_neighbors",
-    "summary_stats",
     "verify_bound",
     "ResultRecord",
     "append_record",

@@ -67,9 +67,6 @@ class AigCircuit:
         """Nodes including the constant: 1 + n + gate count."""
         return 1 + self.n + len(self.gates)
 
-    def gate_node(self, gate_index: int) -> int:
-        return self.n + 1 + gate_index
-
     def validate(self) -> list[str]:
         """All invariant violations found; an empty list means valid."""
         problems = []

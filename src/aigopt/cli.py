@@ -1,8 +1,13 @@
 """Command-line surface: synthesis runs, class lists, graphs, bound checks.
 
 Machine-readable JSON goes to stdout as a single document; human-readable
-tables go to stderr.  Exit codes: 0 success (or bound holds), 1 usage error,
-2 upper-bound/unknown result, 3 bound violation, 4 incomplete store.
+summaries go to stderr.  ``classify`` and ``graph`` print CSV instead with
+``--format csv``; ``report`` prints the histogram as a table.  Commands that
+enumerate NPN classes (``classify``, ``graph``, ``report``, ``verify``,
+``synth --campaign``) accept n <= 4 only.  ``synth --backend cnf-export``
+writes DIMACS queries instead of searching.  Exit codes: 0 success (or bound
+holds), 1 usage error, 2 upper-bound/unknown result, 3 bound violation,
+4 incomplete store.
 """
 
 from __future__ import annotations
@@ -13,18 +18,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .aig import from_aiger, to_aiger
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
-from .npn import enumerate_classes
+from .npn import NpnClassTable, enumerate_classes
 from .repair import repair_clear, repair_multi, repair_set
 from .store import ResultRecord, append_record, load_store, record_from_result
 from .synthesis import (
-    Backend,
-    PRUNE_ALL,
     SearchInconclusiveError,
     Status,
     SynthesisConfig,
@@ -59,21 +64,17 @@ def _store_path(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _config(args) -> SynthesisConfig:
-    return SynthesisConfig(
-        max_gates=args.max_gates,
-        backend=Backend(args.backend),
-        time_budget=args.budget_secs,
-        pruning=PRUNE_ALL,
-    )
+def _class_table(n: int) -> NpnClassTable | None:
+    """All NPN classes of n, or None after reporting an unsupported n."""
+    try:
+        return enumerate_classes(n)
+    except ValueError as exc:
+        _human(f"error: {exc}")
+        return None
 
 
-def _synth_one(tt_hex: str, n: int, cfg_fields: tuple) -> dict:
-    """Worker-friendly synthesis: plain-dict in, plain-dict out."""
-    max_gates, backend, budget = cfg_fields
-    cfg = SynthesisConfig(
-        max_gates=max_gates, backend=Backend(backend), time_budget=budget
-    )
+def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> dict:
+    """Worker-friendly synthesis: picklable arguments in, plain dict out."""
     tt = parse_hex(tt_hex, n)
     try:
         result = opt_size(tt, cfg)
@@ -91,18 +92,19 @@ def _synth_one(tt_hex: str, n: int, cfg_fields: tuple) -> dict:
 def cmd_synth(args) -> int:
     try:
         tt = parse_hex(args.tt, args.n)
+        cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
     except ValueError as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE
 
-    if args.backend == Backend.CNF_EXPORT.value:
+    if args.backend == "cnf-export":
         return _synth_cnf_export(args, tt)
 
     store = _store_path(args)
     if args.campaign:
-        return _synth_campaign(args, store)
+        return _synth_campaign(args, store, cfg)
 
-    outcome = _synth_one(tt.hex(), args.n, (args.max_gates, args.backend, args.budget_secs))
+    outcome = _synth_one(tt.hex(), args.n, cfg)
     if "error" in outcome:
         _emit({"schema": "aigopt.synth/1", **outcome})
         _human(
@@ -146,11 +148,13 @@ def _synth_cnf_export(args, tt: TruthTable) -> int:
     return EXIT_OK
 
 
-def _synth_campaign(args, store: Path | None) -> int:
+def _synth_campaign(args, store: Path | None, cfg: SynthesisConfig) -> int:
     if store is None:
         _human("error: campaign mode requires --store or " + STORE_ENV)
         return EXIT_USAGE
-    table = enumerate_classes(args.n)
+    table = _class_table(args.n)
+    if table is None:
+        return EXIT_USAGE
     done: set[str] = set()
     if store.exists():
         loaded = load_store(store)
@@ -161,30 +165,25 @@ def _synth_campaign(args, store: Path | None) -> int:
         }
     todo = [c.canon.hex() for c in table if c.canon.hex() not in done]
     _human(f"campaign: {len(table)} classes, {len(done)} already exact, {len(todo)} to run")
-    cfg_fields = (args.max_gates, args.backend, args.budget_secs)
-    results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_synth_one, h, args.n, cfg_fields) for h in todo]
-            for fut in futures:
-                results.append(fut.result())
-    else:
-        for h in todo:
-            results.append(_synth_one(h, args.n, cfg_fields))
-
     exact = upper = failed = 0
-    for outcome in results:
-        if "error" in outcome:
-            failed += 1
-            _human(f"{outcome['tt']}: inconclusive within {outcome['max_gates']} gates")
-            continue
-        record = ResultRecord(**outcome)
-        append_record(store, record)
-        if record.status == Status.EXACT.value:
-            exact += 1
-        else:
-            upper += 1
-        _human(f"{record.tt_hex}: size {record.size} [{record.status}]")
+    with ExitStack() as stack:
+        mapper = map
+        if args.jobs > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        # Each record is appended as it arrives, so a crash loses only the
+        # classes still running.
+        for outcome in mapper(partial(_synth_one, n=args.n, cfg=cfg), todo):
+            if "error" in outcome:
+                failed += 1
+                _human(f"{outcome['tt']}: inconclusive within {outcome['max_gates']} gates")
+                continue
+            record = ResultRecord(**outcome)
+            append_record(store, record)
+            if record.status == Status.EXACT.value:
+                exact += 1
+            else:
+                upper += 1
+            _human(f"{record.tt_hex}: size {record.size} [{record.status}]")
     _emit(
         {
             "schema": "aigopt.campaign/1",
@@ -202,7 +201,9 @@ def _synth_campaign(args, store: Path | None) -> int:
 
 def cmd_classify(args) -> int:
     started = time.monotonic()
-    table = enumerate_classes(args.n)
+    table = _class_table(args.n)
+    if table is None:
+        return EXIT_USAGE
     elapsed = time.monotonic() - started
     rows = [
         {"class_index": c.class_index, "canon": c.canon.hex(), "orbit_size": c.orbit_size}
@@ -231,10 +232,12 @@ def _graph_from_store(args) -> tuple[MutationGraph | None, int]:
     if store is None or not store.exists():
         _human("error: graph construction requires an existing --store")
         return None, EXIT_USAGE
+    table = _class_table(args.n)
+    if table is None:
+        return None, EXIT_USAGE
     loaded = load_store(store)
     for issue in loaded.issues:
         _human(f"store line {issue.line_number} rejected: {issue.reason}")
-    table = enumerate_classes(args.n)
     try:
         graph = build_graph(table, loaded.by_bits())
     except IncompleteStoreError as exc:
@@ -394,7 +397,7 @@ def cmd_oracle(args) -> int:
             status=Status.EXACT.value,
             exhausted_below=entry.size - 1,
             witness_aag=to_aiger(entry.witness),
-            backend=Backend.ORACLE.value,
+            backend="oracle",
             elapsed_ms=elapsed_ms,
             timestamp=stamp,
         )
@@ -420,8 +423,8 @@ def _add_store_flag(p) -> None:
 
 def _add_format_flag(p) -> None:
     p.add_argument(
-        "--format", choices=("json", "csv", "table"), default="json",
-        help="stdout format (human table always goes to stderr)",
+        "--format", choices=("json", "csv"), default="json",
+        help="stdout format (the human summary always goes to stderr)",
     )
 
 
@@ -435,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="prove or bound the optimal size of one function")
     p.add_argument("tt", help="truth table in hex, e.g. 0x0180")
     p.add_argument("-n", type=int, required=True, help="variable count")
-    p.add_argument("--backend", choices=[b.value for b in (Backend.ENUMERATION, Backend.CNF_EXPORT)],
-                   default=Backend.ENUMERATION.value)
+    p.add_argument("--backend", choices=("enum", "cnf-export"), default="enum",
+                   help="enum runs the search; cnf-export writes DIMACS queries for k=1..max-gates")
     p.add_argument("--budget-secs", type=float, default=None,
                    help="wall-clock budget per (function, gate count) query")
     p.add_argument("--max-gates", type=int, default=16)
@@ -445,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="campaign worker processes")
     p.add_argument("--cnf-dir", default="cnf", help="output directory for cnf-export")
     _add_store_flag(p)
-    _add_format_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("classify", help="enumerate NPN classes")
@@ -462,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="graph histogram in table form")
     p.add_argument("-n", type=int, required=True)
     _add_store_flag(p)
-    _add_format_flag(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="check |delta opt| <= n over the graph")

@@ -57,17 +57,9 @@ class IncompleteStoreError(KeyError):
         self.missing = missing
 
 
-def class_neighbors(cls: NpnClass, table: NpnClassTable) -> set[int]:
-    """Indices of classes one bit flip away from ``cls`` (self excluded)."""
-    out = set()
-    for row in range(cls.canon.rows):
-        neighbor = table.classify(cls.canon.flip_bit(row))
-        if neighbor != cls.class_index:
-            out.add(neighbor)
-    return out
-
-
-def _neighbor_multiplicity(cls: NpnClass, table: NpnClassTable) -> dict[int, int]:
+def class_neighbors(cls: NpnClass, table: NpnClassTable) -> dict[int, int]:
+    """Classes one bit flip away from ``cls`` (self excluded), each mapped to
+    the number of representative rows whose flip reaches it."""
     counts: dict[int, int] = {}
     for row in range(cls.canon.rows):
         neighbor = table.classify(cls.canon.flip_bit(row))
@@ -94,7 +86,7 @@ def build_graph(table: NpnClassTable, opt_store) -> MutationGraph:
 
     pair_multiplicity: dict[tuple[int, int], int] = {}
     for cls in table:
-        for neighbor, count in _neighbor_multiplicity(cls, table).items():
+        for neighbor, count in class_neighbors(cls, table).items():
             a, b = sorted((cls.class_index, neighbor))
             key = (a, b)
             # Each unordered pair is met from both sides; keep the max so the
@@ -155,13 +147,3 @@ def verify_bound(g: MutationGraph) -> BoundReport:
         violations=violations,
     )
 
-
-def summary_stats(g: MutationGraph) -> dict[str, float]:
-    if g.summary.exact_edge_total == 0:
-        raise ValueError("no edges with exact sizes at both endpoints")
-    assert g.summary.mean_abs_delta is not None
-    assert g.summary.share_delta_le_2 is not None
-    return {
-        "mean_abs_delta": g.summary.mean_abs_delta,
-        "share_delta_le_2": g.summary.share_delta_le_2,
-    }

@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .truthtable import TruthTable, _check_var_count
+from .truthtable import TruthTable
+
+MAX_CLASS_VARS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,12 +127,11 @@ class NpnClass:
 class NpnClassTable:
     """All NPN classes of n-variable functions, indexed both ways."""
 
-    def __init__(self, classes: list[NpnClass], function_class: list[int] | None = None):
+    def __init__(self, classes: list[NpnClass], function_class: list[int]):
         self.n = classes[0].canon.n
         self.classes = classes
-        self._index_of = {c.canon.bits: c.class_index for c in classes}
-        # Optional dense map from every function's bits to its class index,
-        # filled in by enumerate_classes as a byproduct of orbit marking.
+        # Dense map from every function's bits to its class index, filled in
+        # by enumerate_classes as a byproduct of orbit marking.
         self._function_class = function_class
 
     def __len__(self) -> int:
@@ -142,26 +143,24 @@ class NpnClassTable:
     def __getitem__(self, class_index: int) -> NpnClass:
         return self.classes[class_index]
 
-    def index_of_canon(self, canon_bits: int) -> int:
-        return self._index_of[canon_bits]
-
     def classify(self, tt: TruthTable) -> int:
         """Class index of an arbitrary (not necessarily canonical) table."""
         if tt.n != self.n:
             raise ValueError(f"arity mismatch: table n={tt.n}, classes n={self.n}")
-        if self._function_class is not None:
-            return self._function_class[tt.bits]
-        canon, _ = canonicalize(tt)
-        return self._index_of[canon.bits]
+        return self._function_class[tt.bits]
 
 
 def enumerate_classes(n: int) -> NpnClassTable:
     """All NPN classes in ascending canonical-pattern order.
 
-    Cost grows as 2^(2^n) * n! * 2^n; n=4 takes seconds, n=5 is out of
-    practical reach for this scan and n is capped accordingly upstream.
+    Cost grows as 2^(2^n) * n! * 2^n and the function-to-class table holds
+    2^(2^n) entries; n=4 takes seconds, n=5 would need a 2^32-entry table,
+    so n is capped here, before anything is allocated.
     """
-    _check_var_count(n)
+    if not 1 <= n <= MAX_CLASS_VARS:
+        raise ValueError(
+            f"NPN classes can be enumerated for n in 1..{MAX_CLASS_VARS}, got {n}"
+        )
     rows = 1 << n
     mask = (1 << rows) - 1
     row_maps = [rm for _, rm in _all_row_maps(n)]

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .aig import from_aiger
-from .synthesis import Backend, OptResult, Status
+from .synthesis import OptResult, Status
 from .truthtable import parse_hex
 
 HEADER = "# aigopt-store v1 json-lines"
@@ -29,7 +29,7 @@ class ResultRecord:
     status: str  # "exact" | "upper-bound"
     exhausted_below: int
     witness_aag: str
-    backend: str
+    backend: str  # provenance: "enum" (opt_size) | "oracle" (brute_oracle)
     elapsed_ms: int
     timestamp: str  # UTC ISO-8601
 
@@ -63,7 +63,7 @@ def record_from_result(result: OptResult) -> ResultRecord:
         status=result.status.value,
         exhausted_below=result.exhausted_below,
         witness_aag=to_aiger(result.witness),
-        backend=result.backend.value,
+        backend="enum",
         elapsed_ms=int(result.elapsed * 1000),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
@@ -129,17 +129,3 @@ def load_store(path: str | Path) -> LoadedStore:
             if incumbent is None or _dominates(record, incumbent):
                 best[key] = record
     return LoadedStore(best=best, issues=issues)
-
-
-def record_as_result(record: ResultRecord) -> OptResult:
-    """Materialize a stored record back into an OptResult."""
-    record.verify()
-    return OptResult(
-        tt=parse_hex(record.tt_hex, record.n),
-        size=record.size,
-        status=Status(record.status),
-        witness=from_aiger(record.witness_aag),
-        exhausted_below=record.exhausted_below,
-        backend=Backend(record.backend),
-        elapsed=record.elapsed_ms / 1000.0,
-    )

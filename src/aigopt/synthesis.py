@@ -3,8 +3,9 @@
 Three routes live here:
 
 * ``exists_circuit`` / ``opt_size`` — per-function iterative-deepening search
-  over a canonical, symmetry-broken circuit space.  This is the authoritative
-  backend.
+  over a canonical, symmetry-broken circuit space.  This is the one engine
+  that answers size queries; ``SynthesisConfig`` sets only its gate cap and
+  per-query time budget.
 * ``brute_oracle`` — an independent breadth-first sweep over reachable
   function sets for n <= 3, covering every function at once.  It shares no
   search code with the per-function route and is used to cross-check it.
@@ -19,6 +20,28 @@ lexicographically >= the predecessor's.  Every circuit has at least one
 topological order satisfying these constraints (place the smallest-signature
 ready gate first), so exhausting the canonical space is exhaustive up to
 isomorphism.
+
+The search always applies five reductions.  Each keeps some minimum-size
+witness, because a circuit that breaks one of the first four can be made
+smaller and the fifth only skips states already explored:
+
+* no constant fanin — ``c AND x`` is the constant 0 or ``x`` itself, so the
+  gate can be replaced by that node;
+* no complement pair — a gate never reads one node twice; ``x AND NOT x`` is
+  the constant 0 and ``x AND x`` is ``x``;
+* every gate used — a gate that no later gate reads (and that is not the
+  output root) can be deleted;
+* no duplicate function — a gate that recomputes, up to complement, the
+  function of a constant, an input or an earlier gate can be replaced by a
+  (complemented) edge to that node;
+* failed-state memo — the rest of the search depends only on the gate
+  values so far, the last signature and the set of unread gates, so a state
+  once proven dead is skipped when another prefix reaches it again.
+
+The CNF encoding carries the first four.  Because the reductions forbid
+redundant gates, ``exists_circuit(tt, k)`` may report k infeasible for k above
+the optimum (a constant has no witness at any k >= 1); only the upward
+iteration of ``opt_size`` yields sizes.
 """
 
 from __future__ import annotations
@@ -32,46 +55,15 @@ from .aig import AigCircuit, AndGate, Literal
 from .truthtable import TruthTable, var_table
 
 
-class Backend(Enum):
-    ENUMERATION = "enum"
-    CNF_EXPORT = "cnf-export"
-    # Provenance tag for records produced by the all-functions oracle; not a
-    # valid SynthesisConfig backend.
-    ORACLE = "oracle"
-
-
 class Status(Enum):
     EXACT = "exact"
     UPPER_BOUND = "upper-bound"
 
 
 @dataclass(frozen=True, slots=True)
-class PruningFlags:
-    """Search-space reductions; each preserves some minimum-size witness.
-
-    ``no_duplicate_function`` additionally drops gates recomputing a function
-    already available (up to complement) at an existing node, constants
-    included.  With everything off the space is the full normalized circuit
-    space, which is what the monotonicity property exercises.
-    """
-
-    no_constant_fanin: bool = True
-    no_complement_pair: bool = True
-    require_all_gates_used: bool = True
-    signature_dedup: bool = True
-    no_duplicate_function: bool = True
-
-
-PRUNE_ALL = PruningFlags()
-PRUNE_NONE = PruningFlags(False, False, False, False, False)
-
-
-@dataclass(frozen=True, slots=True)
 class SynthesisConfig:
     max_gates: int = 16
-    backend: Backend = Backend.ENUMERATION
     time_budget: float | None = None
-    pruning: PruningFlags = PRUNE_ALL
 
     def __post_init__(self) -> None:
         if self.max_gates < 0:
@@ -109,7 +101,6 @@ class OptResult:
     status: Status
     witness: AigCircuit
     exhausted_below: int
-    backend: Backend
     elapsed: float
 
 
@@ -135,22 +126,16 @@ def _pack_sig(j0: int, c0: int, j1: int, c1: int) -> int:
     return (((j0 << 1) | c0) << 10) | ((j1 << 1) | c1)
 
 
-def _candidate_pairs(max_node: int, flags: PruningFlags, mask: int):
-    """All eligible fanin pairs over nodes 0..max_node, signature-sorted.
+def _candidate_pairs(max_node: int, mask: int):
+    """Fanin pairs of two distinct non-constant nodes up to max_node,
+    signature-sorted.
 
     Tuples are (sig, j0, xor0, j1, xor1) where xor = mask for a complemented
     edge, 0 otherwise.
     """
-    lo = 1 if flags.no_constant_fanin else 0
     out = []
-    for j0 in range(lo, max_node + 1):
-        for j1 in range(j0, max_node + 1):
-            if j0 == j1:
-                if flags.no_complement_pair:
-                    continue
-                # Same node twice is only valid with differing complements.
-                out.append((_pack_sig(j0, 0, j1, 1), j0, 0, j1, mask))
-                continue
+    for j0 in range(1, max_node + 1):
+        for j1 in range(j0 + 1, max_node + 1):
             for c0 in (0, 1):
                 for c1 in (0, 1):
                     out.append(
@@ -167,11 +152,11 @@ def _candidate_pairs(max_node: int, flags: PruningFlags, mask: int):
 
 
 class _CandidateSpace:
-    """Per-(n, k, flags) candidate tables for the enumeration search."""
+    """Per-(n, k) candidate tables for the enumeration search."""
 
-    def __init__(self, n: int, k: int, flags: PruningFlags, mask: int):
+    def __init__(self, n: int, k: int, mask: int):
         top = n + k - 1  # largest node usable as a fanin
-        self.upto = {m: _candidate_pairs(m, flags, mask) for m in range(n, top + 1)}
+        self.upto = {m: _candidate_pairs(m, mask) for m in range(n, top + 1)}
         self.sigs = {m: [c[0] for c in cands] for m, cands in self.upto.items()}
         self.fresh = {
             m: [c for c in self.upto[m] if c[3] == m] for m in range(n, top + 1)
@@ -212,8 +197,7 @@ def exists_circuit(
     mask = tt.mask
     target = tt.bits
     target_c = target ^ mask
-    flags = cfg.pruning
-    space = _CandidateSpace(n, k, flags, mask)
+    space = _CandidateSpace(n, k, mask)
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
 
     values = [0] * (n + 1 + k)
@@ -227,10 +211,6 @@ def exists_circuit(
     chain: list[tuple[int, int, int, int, int]] = []
     memo: set = set()
     nodes_visited = 0
-
-    dedup = flags.no_duplicate_function
-    all_used = flags.require_all_gates_used
-    use_memo = flags.signature_dedup
 
     def search(depth: int, prev_sig: int, no_fanout: int) -> AigCircuit | None:
         """``no_fanout`` is a bitmask over gate nodes not yet referenced."""
@@ -250,7 +230,7 @@ def exists_circuit(
             a = space.fresh[max_fanin_node]
             b = older[cut:]
 
-        prefix = tuple(values[n + 1 : node]) if use_memo else ()
+        prefix = tuple(values[n + 1 : node])
 
         # Merge both sig-sorted streams so witnesses come in canonical order.
         ia = ib = 0
@@ -270,50 +250,42 @@ def exists_circuit(
                     raise _BudgetExceeded
 
             v = (values[j0] ^ x0) & (values[j1] ^ x1)
-            if dedup:
-                vn = v if v <= v ^ mask else v ^ mask
-                if vn in seen:
-                    continue
+            vn = v if v <= v ^ mask else v ^ mask
+            if vn in seen:
+                continue
 
             if last:
                 if v != target and v != target_c:
                     continue
-                if all_used and no_fanout & ~((1 << j0) | (1 << j1)):
+                if no_fanout & ~((1 << j0) | (1 << j1)):
                     continue
                 chain.append(cand)
                 circuit = _chain_to_circuit(n, chain, complement=(v == target_c))
                 chain.pop()
                 return circuit
 
-            if all_used:
-                new_no_fanout = (no_fanout | (1 << node)) & ~((1 << j0) | (1 << j1))
-                if new_no_fanout.bit_count() > slack:
-                    continue
-            else:
-                new_no_fanout = 0
+            new_no_fanout = (no_fanout | (1 << node)) & ~((1 << j0) | (1 << j1))
+            if new_no_fanout.bit_count() > slack:
+                continue
 
-            if use_memo:
-                key = (prefix, v, sig, new_no_fanout)
-                if key in memo:
-                    continue
+            key = (prefix, v, sig, new_no_fanout)
+            if key in memo:
+                continue
 
             values[node] = v
-            if dedup:
-                seen.add(vn)
+            seen.add(vn)
             chain.append(cand)
 
             found = search(depth + 1, sig, new_no_fanout)
 
             chain.pop()
-            if dedup:
-                seen.discard(vn)
+            seen.discard(vn)
 
             if found is not None:
                 return found
-            if use_memo:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                memo.add(key)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo.add(key)
         return None
 
     try:
@@ -340,11 +312,6 @@ def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult
     any budget interruption on the way up downgrades the result to an upper
     bound.  ``exhausted_below`` is the largest gate count proven infeasible.
     """
-    if cfg.backend is not Backend.ENUMERATION:
-        raise ValueError(
-            "opt_size answers queries with the enumeration backend only; "
-            "use encode_cnf/decode_model for the external-solver path"
-        )
     start = time.monotonic()
     k0 = 0 if _trivial_witness(tt) is not None else 1
     # k=0 is decided exactly by the trivial-witness check either way.
@@ -359,7 +326,6 @@ def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult
                 status=Status.EXACT if contiguous else Status.UPPER_BOUND,
                 witness=outcome.witness,
                 exhausted_below=exhausted_below,
-                backend=cfg.backend,
                 elapsed=time.monotonic() - start,
             )
         if outcome.proven_infeasible:
@@ -377,13 +343,18 @@ def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult
 # ---------------------------------------------------------------------------
 
 
+# Fanin indices are packed into 4-bit fields, and a gate at level L reads
+# indices up to n + L - 2, so n = 3 fits through level 14.
+_ORACLE_MAX_LEVELS = 14
+
+
 @dataclass(frozen=True, slots=True)
 class OracleEntry:
     size: int
     witness: AigCircuit
 
 
-def brute_oracle(n: int, max_levels: int = 16) -> dict[int, OracleEntry]:
+def brute_oracle(n: int) -> dict[int, OracleEntry]:
     """Exact sizes for every n-variable function, n <= 3.
 
     Breadth-first over circuit prefixes: a state is the set of gate output
@@ -438,7 +409,7 @@ def brute_oracle(n: int, max_levels: int = 16) -> dict[int, OracleEntry]:
     frontier: dict[int, int] = {0: 0}
     level = 0
     uncovered = total - len(result)
-    while uncovered and frontier and level < max_levels:
+    while uncovered and frontier and level < _ORACLE_MAX_LEVELS:
         level += 1
         next_frontier: dict[int, int] = {}
         for key, chain in frontier.items():
@@ -485,7 +456,7 @@ def brute_oracle(n: int, max_levels: int = 16) -> dict[int, OracleEntry]:
         frontier = next_frontier
     if uncovered:
         raise RuntimeError(
-            f"oracle did not cover all functions within {max_levels} levels"
+            f"oracle did not cover all functions within {_ORACLE_MAX_LEVELS} levels"
         )
     return result
 
@@ -498,16 +469,15 @@ def brute_oracle(n: int, max_levels: int = 16) -> dict[int, OracleEntry]:
 class _CnfLayout:
     """Deterministic variable numbering shared by encoder and decoder."""
 
-    def __init__(self, n: int, k: int, flags: PruningFlags):
+    def __init__(self, n: int, k: int):
         if k < 1:
             raise ValueError("CNF encoding requires k >= 1")
         self.n = n
         self.k = k
-        self.flags = flags
         self.rows = 1 << n
         mask = (1 << self.rows) - 1
         self.candidates = {
-            i: _candidate_pairs(n + i - 1, flags, mask) for i in range(1, k + 1)
+            i: _candidate_pairs(n + i - 1, mask) for i in range(1, k + 1)
         }
         nv = 0
         self.sel_base = {}
@@ -543,9 +513,7 @@ def _fanin_row_literal(layout: _CnfLayout, node: int, comp: int, row: int):
     return ("var", -var if comp else var)
 
 
-def encode_cnf(
-    tt: TruthTable, k: int, pruning: PruningFlags = PRUNE_ALL
-) -> str:
+def encode_cnf(tt: TruthTable, k: int) -> str:
     """DIMACS CNF satisfiable iff a k-gate AIG in the pruned canonical
     space computes ``tt``.
 
@@ -553,7 +521,7 @@ def encode_cnf(
     encoded because it never changes satisfiability.  The variable layout is
     documented in the comment header and is reproduced by ``decode_model``.
     """
-    layout = _CnfLayout(tt.n, k, pruning)
+    layout = _CnfLayout(tt.n, k)
     n, rows = tt.n, layout.rows
     clauses: list[tuple[int, ...]] = []
     num_vars = layout.num_vars
@@ -604,55 +572,55 @@ def encode_cnf(
             clauses.append((-v, o))
             clauses.append((v, -o))
 
-    if pruning.require_all_gates_used:
-        for g in range(1, k):
-            node = n + g
-            users = [
-                layout.sel_var(i, t)
-                for i in range(g + 1, k + 1)
-                for t, (_, j0, _x0, j1, _x1) in enumerate(layout.candidates[i])
-                if j0 == node or j1 == node
-            ]
-            clauses.append(tuple(users))
+    # Every gate but the root is read by some later gate.
+    for g in range(1, k):
+        node = n + g
+        users = [
+            layout.sel_var(i, t)
+            for i in range(g + 1, k + 1)
+            for t, (_, j0, _x0, j1, _x1) in enumerate(layout.candidates[i])
+            if j0 == node or j1 == node
+        ]
+        clauses.append(tuple(users))
 
-    if pruning.no_duplicate_function:
-        fixed = [0] + [var_table(n, i).bits for i in range(n)]
-        for i in range(1, k + 1):
-            for pattern in fixed:
-                for target in (pattern, pattern ^ tt.mask):
-                    clause = []
-                    for r in range(rows):
-                        v = layout.val_var(i, r)
-                        clause.append(v if not (target >> r) & 1 else -v)
-                    clauses.append(tuple(clause))
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                # differ somewhere, and differ from the complement somewhere
-                for want_equal in (False, True):
-                    marks = []
-                    for r in range(rows):
-                        vi = layout.val_var(i, r)
-                        vj = layout.val_var(j, r)
-                        d = new_var()
-                        if want_equal:
-                            clauses.append((-d, vi, -vj))
-                            clauses.append((-d, -vi, vj))
-                        else:
-                            clauses.append((-d, vi, vj))
-                            clauses.append((-d, -vi, -vj))
-                        marks.append(d)
-                    clauses.append(tuple(marks))
+    # No gate recomputes a constant, an input or an earlier gate, up to
+    # complement.
+    fixed = [0] + [var_table(n, i).bits for i in range(n)]
+    for i in range(1, k + 1):
+        for pattern in fixed:
+            for target in (pattern, pattern ^ tt.mask):
+                clause = []
+                for r in range(rows):
+                    v = layout.val_var(i, r)
+                    clause.append(v if not (target >> r) & 1 else -v)
+                clauses.append(tuple(clause))
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            # differ somewhere, and differ from the complement somewhere
+            for want_equal in (False, True):
+                marks = []
+                for r in range(rows):
+                    vi = layout.val_var(i, r)
+                    vj = layout.val_var(j, r)
+                    d = new_var()
+                    if want_equal:
+                        clauses.append((-d, vi, -vj))
+                        clauses.append((-d, -vi, vj))
+                    else:
+                        clauses.append((-d, vi, vj))
+                        clauses.append((-d, -vi, -vj))
+                    marks.append(d)
+                clauses.append(tuple(marks))
 
     header = [
         "c aigopt exact-synthesis query",
         f"c n={n} k={k} tt={tt.hex()}",
         "c rows r=0..2^n-1; row r assigns x_i = (r >> i) & 1",
         "c gate i (1..k) sits at node n+i; fanin candidates are (j0,c0,j1,c1)",
-        "c pairs over nodes (0=const,1..n=inputs,gates), sorted by (j0,c0,j1,c1)",
-        f"c eligibility flags: no_constant_fanin={pruning.no_constant_fanin} "
-        f"no_complement_pair={pruning.no_complement_pair}",
-        f"c constraints: require_all_gates_used={pruning.require_all_gates_used} "
-        f"no_duplicate_function={pruning.no_duplicate_function}",
+        "c pairs of distinct non-constant nodes (1..n=inputs, then gates), "
+        "sorted by (j0,c0,j1,c1)",
+        "c constraints: every gate but the root is read; no gate recomputes a "
+        "constant, an input or an earlier gate up to complement",
     ]
     for i in range(1, k + 1):
         base = layout.sel_base[i]
@@ -671,9 +639,7 @@ def encode_cnf(
     return "\n".join(lines) + "\n"
 
 
-def decode_model(
-    model_text: str, k: int, n: int, pruning: PruningFlags = PRUNE_ALL
-) -> AigCircuit | None:
+def decode_model(model_text: str, k: int, n: int) -> AigCircuit | None:
     """Rebuild the circuit from a solver model for an ``encode_cnf`` query.
 
     Accepts plain signed-integer assignments terminated by 0, optional
@@ -703,7 +669,7 @@ def decode_model(
             continue
         assignment.add(value)
 
-    layout = _CnfLayout(n, k, pruning)
+    layout = _CnfLayout(n, k)
     gates = []
     for i in range(1, k + 1):
         chosen = [

@@ -12,6 +12,18 @@ import random
 
 from aigopt.aig import AigCircuit, AndGate, Literal
 
+# XOR of two inputs (0x6) padded to four gates by an unread constant gate;
+# a valid circuit one gate above the optimum, for upper-bound records.
+FOUR_GATE_XOR_AAG = """aag 6 2 0 1 4
+2
+4
+12
+6 0 1
+8 2 4
+10 3 5
+12 9 11
+"""
+
 
 def random_circuit(
     rng: random.Random, n: int, max_gates: int, allow_const: bool = False

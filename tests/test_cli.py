@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -9,9 +10,10 @@ from aigopt.cli import (
     EXIT_OK,
     EXIT_UPPER_BOUND,
     EXIT_USAGE,
+    build_parser,
     main,
 )
-from aigopt.store import load_store
+from aigopt.store import HEADER, load_store
 from aigopt.synthesis import opt_size
 from aigopt.truthtable import parse_hex
 
@@ -234,6 +236,94 @@ def test_campaign_small(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["skipped_exact"] == 4
     assert doc["new_exact"] == 0
+
+
+def test_campaign_keeps_records_before_a_crash(capsys, tmp_path, monkeypatch):
+    import aigopt.cli as cli
+
+    real_opt_size = cli.opt_size
+    calls = []
+
+    def crash_on_third(tt, cfg):
+        calls.append(tt.hex())
+        if len(calls) == 3:
+            raise RuntimeError("simulated crash")
+        return real_opt_size(tt, cfg)
+
+    monkeypatch.setattr(cli, "opt_size", crash_on_third)
+    store = tmp_path / "crash.jsonl"
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        main(["synth", "0x0", "-n", "3", "--campaign", "--store", str(store)])
+    assert sorted(load_store(store).best) == sorted(calls[:2])
+
+
+def test_campaign_parallel_jobs(capsys, tmp_path):
+    store = tmp_path / "campaign3.jsonl"
+    code, out, _ = run(
+        capsys, "synth", "0x0", "-n", "3", "--campaign", "--jobs", "2",
+        "--store", str(store),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["classes"] == 14
+    assert doc["new_exact"] == 14
+    best = load_store(store).best
+    assert len(best) == 14
+    assert best["0x69"].size == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "-n", "5"],
+        ["graph", "-n", "5", "--store"],
+        ["report", "-n", "5", "--store"],
+        ["verify", "-n", "5", "--store"],
+        ["synth", "0x0", "-n", "5", "--campaign", "--store"],
+    ],
+)
+def test_class_enumeration_rejects_n_above_four(capsys, tmp_path, monkeypatch, argv):
+    def orbit_scan_reached(n):
+        raise AssertionError(f"enumerate_classes({n}) started its orbit scan")
+
+    monkeypatch.setattr("aigopt.npn._all_row_maps", orbit_scan_reached)
+    if argv[-1] == "--store":
+        store = tmp_path / "s.jsonl"
+        store.write_text(HEADER + "\n")
+        argv = argv + [str(store)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err and "1..4" in err
+
+
+def test_cli_option_surface(capsys):
+    """Every subcommand's options and choices; a new or revived flag shows here."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {
+            "/".join(a.option_strings) or a.dest: tuple(a.choices) if a.choices else None
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, p in sub.choices.items()
+    }
+    assert surface == {
+        "synth": {
+            "tt": None, "-n": None, "--backend": ("enum", "cnf-export"),
+            "--budget-secs": None, "--max-gates": None, "--campaign": None,
+            "--jobs": None, "--cnf-dir": None, "--store": None,
+        },
+        "classify": {"-n": None, "--format": ("json", "csv")},
+        "graph": {"-n": None, "--store": None, "--format": ("json", "csv")},
+        "report": {"-n": None, "--store": None},
+        "verify": {"-n": None, "--store": None},
+        "repair": {"input": None, "--flip": None, "--target": None, "-o/--output": None},
+        "oracle": {"-n": (1, 2, 3), "--store": None},
+    }
+    assert main(["graph", "-n", "2", "--format", "table"]) == EXIT_USAGE
+    assert main(["synth", "0x6", "-n", "2", "--format", "json"]) == EXIT_USAGE
 
 
 def test_usage_exit_code(capsys):

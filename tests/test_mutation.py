@@ -11,7 +11,6 @@ from aigopt.mutation import (
     build_graph,
     class_neighbors,
     summarize_edges,
-    summary_stats,
     verify_bound,
 )
 from aigopt.npn import apply_transform, enumerate_classes
@@ -35,7 +34,7 @@ def test_constant_class_has_single_neighbor(classes4):
     const_cls = classes4[classes4.classify(parse_hex("0x0000", 4))]
     neighbors = class_neighbors(const_cls, classes4)
     minterm_idx = classes4.classify(parse_hex("0x0001", 4))
-    assert neighbors == {minterm_idx}
+    assert neighbors.keys() == {minterm_idx}
 
 
 def test_minterm_class_neighbors_include_paper_pair(classes4):
@@ -49,7 +48,7 @@ def test_neighbors_at_n1():
     table = enumerate_classes(1)
     for cls in table:
         others = class_neighbors(cls, table)
-        assert others == {1 - cls.class_index}
+        assert others.keys() == {1 - cls.class_index}
 
 
 def test_neighbor_symmetry_exhaustive(classes2, classes3, classes4):
@@ -71,7 +70,7 @@ def test_neighbors_independent_of_orbit_member(classes3):
                 for row in range(member.rows)
             }
             from_member.discard(cls.class_index)
-            assert from_member == canonical_neighbors
+            assert from_member == canonical_neighbors.keys()
 
 
 def test_build_graph_n1_single_edge():
@@ -145,13 +144,9 @@ def test_verify_bound_flags_violations():
 
 
 def test_summary_stats_single_zero_edge():
-    edges = (MutationEdge(0, 1, 0),)
-    graph = MutationGraph(
-        n=1, classes=(), edges=edges, histogram={0: 1}, summary=summarize_edges(edges)
-    )
-    stats = summary_stats(graph)
-    assert stats["mean_abs_delta"] == 0.0
-    assert stats["share_delta_le_2"] == 1.0
+    summary = summarize_edges((MutationEdge(0, 1, 0),))
+    assert summary.mean_abs_delta == 0.0
+    assert summary.share_delta_le_2 == 1.0
 
 
 def test_summary_stats_reference_histogram_arithmetic():
@@ -170,15 +165,6 @@ def test_summary_stats_reference_histogram_arithmetic():
     assert abs(summary.mean_abs_delta - 1.03) < 0.01
     assert abs(summary.share_delta_le_2 - 935 / 987) < 1e-12
     assert abs(summary.share_delta_le_2 - 0.947) < 0.002
-
-
-def test_summary_stats_requires_exact_edges():
-    edges = (MutationEdge(0, 1, None),)
-    graph = MutationGraph(
-        n=2, classes=(), edges=edges, histogram={}, summary=summarize_edges(edges)
-    )
-    with pytest.raises(ValueError):
-        summary_stats(graph)
 
 
 def test_multiplicity_annotation_counts_flips(classes4):

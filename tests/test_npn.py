@@ -122,6 +122,16 @@ def test_class_counts_small(classes2, classes3):
     assert len(classes3) == 14
 
 
+def test_enumerate_classes_rejects_n_above_four_before_allocating(monkeypatch):
+    def orbit_scan_reached(n):
+        raise AssertionError(f"enumerate_classes({n}) started its orbit scan")
+
+    monkeypatch.setattr("aigopt.npn._all_row_maps", orbit_scan_reached)
+    for n in (0, 5, 6):
+        with pytest.raises(ValueError, match="1..4"):
+            enumerate_classes(n)
+
+
 def test_class_counts_match_naive_orbit_partition(classes2, classes3):
     for n, table in ((1, enumerate_classes(1)), (2, classes2), (3, classes3)):
         orbits = naive_orbit_partition(n)

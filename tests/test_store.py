@@ -10,13 +10,12 @@ from aigopt.store import (
     ResultRecord,
     append_record,
     load_store,
-    record_as_result,
     record_from_result,
 )
 from aigopt.synthesis import Status, opt_size
 from aigopt.truthtable import parse_hex
 
-from helpers import random_circuit
+from helpers import FOUR_GATE_XOR_AAG, random_circuit
 
 
 def make_record(**overrides) -> ResultRecord:
@@ -56,7 +55,7 @@ def test_exact_dominates_upper_bound(tmp_path):
         size=4,
         status=Status.UPPER_BOUND.value,
         exhausted_below=1,
-        witness_aag=_four_gate_xor_aag(),
+        witness_aag=FOUR_GATE_XOR_AAG,
     )
     append_record(path, upper)
     append_record(path, exact)
@@ -68,23 +67,13 @@ def test_exact_dominates_upper_bound(tmp_path):
     assert load_store(path2).best[exact.tt_hex] == exact
 
 
-def _four_gate_xor_aag() -> str:
-    from aigopt.synthesis import PRUNE_NONE, SynthesisConfig, exists_circuit
-
-    witness = exists_circuit(
-        parse_hex("0x6", 2), 4, SynthesisConfig(pruning=PRUNE_NONE)
-    ).witness
-    assert witness is not None
-    return to_aiger(witness)
-
-
 def test_smaller_size_wins_within_status(tmp_path):
     path = tmp_path / "store.jsonl"
     small = make_record(
         status=Status.UPPER_BOUND.value, exhausted_below=1
     )
     big = replace(
-        small, size=4, witness_aag=_four_gate_xor_aag(), exhausted_below=1
+        small, size=4, witness_aag=FOUR_GATE_XOR_AAG, exhausted_below=1
     )
     append_record(path, big)
     append_record(path, small)
@@ -141,14 +130,6 @@ def test_append_refuses_bad_record(tmp_path):
     record = make_record(exhausted_below=0)
     with pytest.raises(ValueError):
         append_record(tmp_path / "s.jsonl", record)
-
-
-def test_record_as_result_round_trip():
-    record = make_record()
-    result = record_as_result(record)
-    assert result.size == record.size
-    assert result.status is Status.EXACT
-    assert result.witness.evaluate() == parse_hex(record.tt_hex, record.n)
 
 
 def test_bulk_round_trip_random_circuits(tmp_path):

@@ -2,12 +2,9 @@ import random
 
 import pytest
 
-from aigopt.aig import AndGate, Literal
+from aigopt.aig import AndGate, Literal, from_aiger
 from aigopt.npn import apply_transform
 from aigopt.synthesis import (
-    PRUNE_ALL,
-    PRUNE_NONE,
-    Backend,
     SearchInconclusiveError,
     Status,
     SynthesisConfig,
@@ -19,7 +16,7 @@ from aigopt.synthesis import (
 )
 from aigopt.truthtable import TruthTable, parse_hex, var_table
 
-from helpers import dpll_satisfiable, model_text
+from helpers import FOUR_GATE_XOR_AAG, dpll_satisfiable, model_text
 from test_npn import random_transform
 
 
@@ -89,11 +86,6 @@ def test_opt_size_raises_when_capped():
     assert exc.value.exhausted_below == 2
 
 
-def test_opt_size_rejects_cnf_backend():
-    with pytest.raises(ValueError):
-        opt_size(parse_hex("0x6", 2), SynthesisConfig(backend=Backend.CNF_EXPORT))
-
-
 def test_opt_size_downgrades_on_budget_interruption(monkeypatch):
     """Any budget stop below the witness level must cost Exact status."""
     import aigopt.synthesis as synthesis
@@ -116,8 +108,8 @@ def test_opt_size_tracks_largest_proven_level(monkeypatch):
     import aigopt.synthesis as synthesis
 
     xor = parse_hex("0x6", 2)
-    pad = exists_circuit(xor, 4, SynthesisConfig(pruning=PRUNE_NONE)).witness
-    assert pad is not None and pad.size() == 4
+    pad = from_aiger(FOUR_GATE_XOR_AAG)
+    assert pad.evaluate() == xor and pad.size() == 4
     script = {
         1: synthesis.ExistsOutcome(None, True, 0, 0.0),
         2: synthesis.ExistsOutcome(None, False, 0, 0.0),  # budget stop
@@ -164,6 +156,21 @@ def test_oracle_rejects_large_n():
         brute_oracle(4)
 
 
+def test_oracle_level_cap_fails_loudly(monkeypatch):
+    import aigopt.synthesis as synthesis
+
+    monkeypatch.setattr(synthesis, "_ORACLE_MAX_LEVELS", 2)
+    with pytest.raises(RuntimeError, match="within 2 levels"):
+        brute_oracle(2)  # XOR needs three levels
+
+
+def test_oracle_level_cap_fits_fanin_fields():
+    import aigopt.synthesis as synthesis
+
+    # the last gate of an n=3 chain reads index n + levels - 2 (4-bit field)
+    assert 3 + synthesis._ORACLE_MAX_LEVELS - 2 <= 0xF
+
+
 def test_opt_size_agrees_with_oracle_n2(oracle2):
     for bits in range(16):
         result = opt_size(TruthTable(2, bits))
@@ -182,17 +189,18 @@ def test_opt_size_npn_invariant(oracle3):
         assert opt_size(moved).size == opt_size(tt).size
 
 
-def test_monotonicity_with_pruning_off(oracle2):
-    """A satisfiable k stays satisfiable at k+1 once prunes are disabled."""
-    cfg = SynthesisConfig(pruning=PRUNE_NONE)
-    for bits in range(16):
-        k = oracle2[bits].size
-        if k == 0:
-            continue
-        for extra in (k, k + 1):
-            outcome = exists_circuit(TruthTable(2, bits), extra, cfg)
-            assert outcome.witness is not None, (hex(bits), extra)
-            assert outcome.witness.evaluate().bits == bits
+def test_search_node_counts_are_pinned():
+    """Exhaustive infeasibility proofs visit a fixed number of nodes; any
+    change means the search space or its reductions changed."""
+    pins = {
+        parse_hex("0x0169", 4): (24, 708, 19_564, 488_672),
+        parse_hex("0x69", 3): (12, 234, 3_906, 59_862, 998_429),
+    }
+    for tt, counts in pins.items():
+        for k, nodes in enumerate(counts, start=1):
+            outcome = exists_circuit(tt, k)
+            assert outcome.proven_infeasible, (tt.hex(), k)
+            assert outcome.nodes_visited == nodes, (tt.hex(), k)
 
 
 def test_deterministic_witness():
