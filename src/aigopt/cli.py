@@ -2,12 +2,13 @@
 
 Machine-readable JSON goes to stdout as a single document; human-readable
 summaries go to stderr.  ``classify`` and ``graph`` print CSV instead with
-``--format csv``; ``report`` prints the histogram as a table.  Commands that
+``--format csv``; ``report`` prints the histogram as a table.  ``synth``
+searches one function, ``campaign`` every NPN class of n (appending each record
+as its class finishes) and ``cnf-export`` writes DIMACS queries.  Commands that
 enumerate NPN classes (``classify``, ``graph``, ``report``, ``verify``,
-``synth --campaign``) accept n <= 4 only.  ``synth --backend cnf-export``
-writes DIMACS queries instead of searching.  Exit codes: 0 success (or bound
-holds), 1 usage error, 2 upper-bound/unknown result, 3 bound violation,
-4 incomplete store.
+``campaign``) accept n <= 4 only.  Exit codes: 0 success (or bound holds),
+1 usage error, 2 upper-bound/unknown result, 3 bound violation, 4 incomplete
+store.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -97,13 +98,6 @@ def cmd_synth(args) -> int:
         _human(f"error: {exc}")
         return EXIT_USAGE
 
-    if args.backend == "cnf-export":
-        return _synth_cnf_export(args, tt)
-
-    store = _store_path(args)
-    if args.campaign:
-        return _synth_campaign(args, store, cfg)
-
     outcome = _synth_one(tt.hex(), args.n, cfg)
     if "error" in outcome:
         _emit({"schema": "aigopt.synth/1", **outcome})
@@ -113,6 +107,7 @@ def cmd_synth(args) -> int:
         )
         return EXIT_UPPER_BOUND
     record = ResultRecord(**outcome)
+    store = _store_path(args)
     if store is not None:
         append_record(store, record)
     _emit({"schema": "aigopt.synth/1", **outcome})
@@ -123,11 +118,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK if record.status == Status.EXACT.value else EXIT_UPPER_BOUND
 
 
-def _synth_cnf_export(args, tt: TruthTable) -> int:
+def cmd_cnf_export(args) -> int:
+    try:
+        tt = parse_hex(args.tt, args.n)
+        hi = SynthesisConfig(max_gates=args.max_gates).max_gates
+    except ValueError as exc:
+        _human(f"error: {exc}")
+        return EXIT_USAGE
     out_dir = Path(args.cnf_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    hi = args.max_gates
     for k in range(1, hi + 1):
         path = out_dir / f"{tt.hex()}_n{tt.n}_k{k}.cnf"
         path.write_text(encode_cnf(tt, k), encoding="utf-8")
@@ -148,7 +148,15 @@ def _synth_cnf_export(args, tt: TruthTable) -> int:
     return EXIT_OK
 
 
-def _synth_campaign(args, store: Path | None, cfg: SynthesisConfig) -> int:
+def cmd_campaign(args) -> int:
+    try:
+        cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
+    except ValueError as exc:
+        _human(f"error: {exc}")
+        return EXIT_USAGE
+    store = _store_path(args)
     if store is None:
         _human("error: campaign mode requires --store or " + STORE_ENV)
         return EXIT_USAGE
@@ -167,12 +175,15 @@ def _synth_campaign(args, store: Path | None, cfg: SynthesisConfig) -> int:
     _human(f"campaign: {len(table)} classes, {len(done)} already exact, {len(todo)} to run")
     exact = upper = failed = 0
     with ExitStack() as stack:
-        mapper = map
+        run = partial(_synth_one, n=args.n, cfg=cfg)
+        outcomes = map(run, todo)
         if args.jobs > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
-        # Each record is appended as it arrives, so a crash loses only the
-        # classes still running.
-        for outcome in mapper(partial(_synth_one, n=args.n, cfg=cfg), todo):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            futures = [pool.submit(run, tt_hex) for tt_hex in todo]
+            outcomes = (future.result() for future in as_completed(futures))
+        # Each record is appended as its class finishes, so a crash loses only
+        # the classes still running.
+        for outcome in outcomes:
             if "error" in outcome:
                 failed += 1
                 _human(f"{outcome['tt']}: inconclusive within {outcome['max_gates']} gates")
@@ -438,17 +449,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="prove or bound the optimal size of one function")
     p.add_argument("tt", help="truth table in hex, e.g. 0x0180")
     p.add_argument("-n", type=int, required=True, help="variable count")
-    p.add_argument("--backend", choices=("enum", "cnf-export"), default="enum",
-                   help="enum runs the search; cnf-export writes DIMACS queries for k=1..max-gates")
     p.add_argument("--budget-secs", type=float, default=None,
                    help="wall-clock budget per (function, gate count) query")
     p.add_argument("--max-gates", type=int, default=16)
-    p.add_argument("--campaign", action="store_true",
-                   help="iterate all NPN classes of n, resuming from the store")
-    p.add_argument("--jobs", type=int, default=1, help="campaign worker processes")
-    p.add_argument("--cnf-dir", default="cnf", help="output directory for cnf-export")
     _add_store_flag(p)
     p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("campaign", help="synth every NPN class of n, resuming from the store")
+    p.add_argument("-n", type=int, required=True, help="variable count")
+    p.add_argument("--budget-secs", type=float, default=None,
+                   help="wall-clock budget per (function, gate count) query")
+    p.add_argument("--max-gates", type=int, default=16)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    _add_store_flag(p)
+    p.set_defaults(func=cmd_campaign)
+
+    p = sub.add_parser("cnf-export", help="write DIMACS queries for k=1..max-gates")
+    p.add_argument("tt", help="truth table in hex, e.g. 0x0180")
+    p.add_argument("-n", type=int, required=True, help="variable count")
+    p.add_argument("--max-gates", type=int, default=16)
+    p.add_argument("--cnf-dir", default="cnf", help="output directory")
+    p.set_defaults(func=cmd_cnf_export)
 
     p = sub.add_parser("classify", help="enumerate NPN classes")
     p.add_argument("-n", type=int, required=True)

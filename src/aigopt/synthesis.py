@@ -19,7 +19,9 @@ does not use its immediate predecessor must carry a fanin signature
 lexicographically >= the predecessor's.  Every circuit has at least one
 topological order satisfying these constraints (place the smallest-signature
 ready gate first), so exhausting the canonical space is exhaustive up to
-isomorphism.
+isomorphism.  A gate's choices depend only on n, its largest fanin node m and
+the previous gate's signature, so ``_gate_choices`` caches them per (n, m) as
+pre-merged lists ``after[cut]``, one per rank of that signature.
 
 The search always applies five reductions.  Each keeps some minimum-size
 witness, because a circuit that breaks one of the first four can be made
@@ -50,6 +52,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .aig import AigCircuit, AndGate, Literal
 from .truthtable import TruthTable, var_table
@@ -151,16 +154,18 @@ def _candidate_pairs(max_node: int, mask: int):
     return out
 
 
-class _CandidateSpace:
-    """Per-(n, k) candidate tables for the enumeration search."""
-
-    def __init__(self, n: int, k: int, mask: int):
-        top = n + k - 1  # largest node usable as a fanin
-        self.upto = {m: _candidate_pairs(m, mask) for m in range(n, top + 1)}
-        self.sigs = {m: [c[0] for c in cands] for m, cands in self.upto.items()}
-        self.fresh = {
-            m: [c for c in self.upto[m] if c[3] == m] for m in range(n, top + 1)
-        }
+@lru_cache(maxsize=None)
+def _gate_choices(n: int, m: int):
+    """``(sigs, after)`` for a gate whose largest fanin node is m: the sorted
+    signatures of the pairs over nodes < m, and per rank ``cut`` the pairs that
+    read node m merged with those older pairs from ``cut`` on, signature-sorted.
+    """
+    mask = (1 << (1 << n)) - 1
+    older = _candidate_pairs(m - 1, mask)
+    fresh = [c for c in _candidate_pairs(m, mask) if c[3] == m]
+    sigs = [c[0] for c in older]
+    after = [sorted(fresh + older[cut:]) for cut in range(len(older) + 1)]
+    return sigs, after
 
 
 def _trivial_witness(tt: TruthTable) -> AigCircuit | None:
@@ -197,51 +202,29 @@ def exists_circuit(
     mask = tt.mask
     target = tt.bits
     target_c = target ^ mask
-    space = _CandidateSpace(n, k, mask)
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
 
     values = [0] * (n + 1 + k)
-    for i in range(n):
-        values[i + 1] = var_table(n, i).bits
     seen = {0}
-    for i in range(n):
-        v = values[i + 1]
+    for i in range(1, n + 1):
+        v = values[i] = var_table(n, i - 1).bits
         seen.add(min(v, v ^ mask))
 
     chain: list[tuple[int, int, int, int, int]] = []
     memo: set = set()
     nodes_visited = 0
 
-    def search(depth: int, prev_sig: int, no_fanout: int) -> AigCircuit | None:
-        """``no_fanout`` is a bitmask over gate nodes not yet referenced."""
+    def search(node: int, prev_sig: int, no_fanout: int) -> AigCircuit | None:
+        """Place the gate at ``node``; ``no_fanout`` is a bitmask of unread gates."""
         nonlocal nodes_visited
-        gate_idx = depth + 1  # 1-based gate being placed
-        node = n + gate_idx
-        max_fanin_node = node - 1
-        last = gate_idx == k
-        slack = 2 * (k - gate_idx)
-
-        if depth == 0:
-            a: list = space.upto[max_fanin_node]
-            b: list = []
-        else:
-            older = space.upto[max_fanin_node - 1]
-            cut = bisect_left(space.sigs[max_fanin_node - 1], prev_sig)
-            a = space.fresh[max_fanin_node]
-            b = older[cut:]
+        last = node == n + k
+        slack = 2 * (n + k - node)
 
         prefix = tuple(values[n + 1 : node])
 
-        # Merge both sig-sorted streams so witnesses come in canonical order.
-        ia = ib = 0
-        la, lb = len(a), len(b)
-        while ia < la or ib < lb:
-            if ib >= lb or (ia < la and a[ia][0] <= b[ib][0]):
-                cand = a[ia]
-                ia += 1
-            else:
-                cand = b[ib]
-                ib += 1
+        # The first gate has prev_sig = -1, which keeps every pair.
+        sigs, after = _gate_choices(n, node - 1)
+        for cand in after[bisect_left(sigs, prev_sig)]:
             sig, j0, x0, j1, x1 = cand
 
             nodes_visited += 1
@@ -259,10 +242,7 @@ def exists_circuit(
                     continue
                 if no_fanout & ~((1 << j0) | (1 << j1)):
                     continue
-                chain.append(cand)
-                circuit = _chain_to_circuit(n, chain, complement=(v == target_c))
-                chain.pop()
-                return circuit
+                return _chain_to_circuit(n, chain + [cand], complement=(v == target_c))
 
             new_no_fanout = (no_fanout | (1 << node)) & ~((1 << j0) | (1 << j1))
             if new_no_fanout.bit_count() > slack:
@@ -276,7 +256,7 @@ def exists_circuit(
             seen.add(vn)
             chain.append(cand)
 
-            found = search(depth + 1, sig, new_no_fanout)
+            found = search(node + 1, sig, new_no_fanout)
 
             chain.pop()
             seen.discard(vn)
@@ -289,7 +269,7 @@ def exists_circuit(
         return None
 
     try:
-        witness = search(0, -1, 0)
+        witness = search(n + 1, -1, 0)
     except _BudgetExceeded:
         return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
     return ExistsOutcome(
@@ -329,10 +309,7 @@ def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult
                 elapsed=time.monotonic() - start,
             )
         if outcome.proven_infeasible:
-            if contiguous:
-                exhausted_below = k
-            else:
-                exhausted_below = max(exhausted_below, k)
+            exhausted_below = k
         else:
             contiguous = False
     raise SearchInconclusiveError(tt, cfg.max_gates, exhausted_below)

@@ -69,8 +69,7 @@ def test_synth_cnf_export(capsys, tmp_path):
     out_dir = tmp_path / "cnf"
     code, out, _ = run(
         capsys,
-        "synth", "0x6", "-n", "2",
-        "--backend", "cnf-export", "--max-gates", "3",
+        "cnf-export", "0x6", "-n", "2", "--max-gates", "3",
         "--cnf-dir", str(out_dir),
     )
     assert code == EXIT_OK
@@ -222,17 +221,13 @@ def test_repair_default_output_path(capsys, tmp_path):
 
 def test_campaign_small(capsys, tmp_path):
     store = tmp_path / "campaign2.jsonl"
-    code, out, _ = run(
-        capsys, "synth", "0x0", "-n", "2", "--campaign", "--store", str(store)
-    )
+    code, out, _ = run(capsys, "campaign", "-n", "2", "--store", str(store))
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["classes"] == 4
     assert doc["new_exact"] == 4
     # resume: everything already done
-    code, out, _ = run(
-        capsys, "synth", "0x0", "-n", "2", "--campaign", "--store", str(store)
-    )
+    code, out, _ = run(capsys, "campaign", "-n", "2", "--store", str(store))
     doc = json.loads(out)
     assert doc["skipped_exact"] == 4
     assert doc["new_exact"] == 0
@@ -253,15 +248,14 @@ def test_campaign_keeps_records_before_a_crash(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "opt_size", crash_on_third)
     store = tmp_path / "crash.jsonl"
     with pytest.raises(RuntimeError, match="simulated crash"):
-        main(["synth", "0x0", "-n", "3", "--campaign", "--store", str(store)])
+        main(["campaign", "-n", "3", "--store", str(store)])
     assert sorted(load_store(store).best) == sorted(calls[:2])
 
 
 def test_campaign_parallel_jobs(capsys, tmp_path):
     store = tmp_path / "campaign3.jsonl"
     code, out, _ = run(
-        capsys, "synth", "0x0", "-n", "3", "--campaign", "--jobs", "2",
-        "--store", str(store),
+        capsys, "campaign", "-n", "3", "--jobs", "2", "--store", str(store),
     )
     assert code == EXIT_OK
     doc = json.loads(out)
@@ -272,6 +266,37 @@ def test_campaign_parallel_jobs(capsys, tmp_path):
     assert best["0x69"].size == 6
 
 
+def test_campaign_appends_records_as_classes_finish(capsys, tmp_path, monkeypatch):
+    """A slow class must not hold back the records of classes that finish
+    after it was submitted but before it ends."""
+    import time
+
+    import aigopt.cli as cli
+
+    real_opt_size = cli.opt_size
+
+    def slow_on_0x1(tt, cfg):
+        if tt.hex() == "0x1":
+            time.sleep(1.5)
+        return real_opt_size(tt, cfg)
+
+    monkeypatch.setattr(cli, "opt_size", slow_on_0x1)  # inherited by forked workers
+    store = tmp_path / "order.jsonl"
+    code, _, _ = run(capsys, "campaign", "-n", "2", "--jobs", "2", "--store", str(store))
+    assert code == EXIT_OK
+    lines = store.read_text().splitlines()[1:]
+    assert len(lines) == 4
+    assert json.loads(lines[-1])["tt_hex"] == "0x1"
+
+
+def test_campaign_rejects_jobs_below_one(capsys, tmp_path):
+    store = tmp_path / "jobs.jsonl"
+    code, out, err = run(capsys, "campaign", "-n", "2", "--jobs", "0", "--store", str(store))
+    assert code == EXIT_USAGE
+    assert out == "" and "--jobs" in err
+    assert not store.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -279,7 +304,7 @@ def test_campaign_parallel_jobs(capsys, tmp_path):
         ["graph", "-n", "5", "--store"],
         ["report", "-n", "5", "--store"],
         ["verify", "-n", "5", "--store"],
-        ["synth", "0x0", "-n", "5", "--campaign", "--store"],
+        ["campaign", "-n", "5", "--store"],
     ],
 )
 def test_class_enumeration_rejects_n_above_four(capsys, tmp_path, monkeypatch, argv):
@@ -311,10 +336,14 @@ def test_cli_option_surface(capsys):
     }
     assert surface == {
         "synth": {
-            "tt": None, "-n": None, "--backend": ("enum", "cnf-export"),
-            "--budget-secs": None, "--max-gates": None, "--campaign": None,
-            "--jobs": None, "--cnf-dir": None, "--store": None,
+            "tt": None, "-n": None, "--max-gates": None, "--budget-secs": None,
+            "--store": None,
         },
+        "campaign": {
+            "-n": None, "--max-gates": None, "--budget-secs": None,
+            "--jobs": None, "--store": None,
+        },
+        "cnf-export": {"tt": None, "-n": None, "--max-gates": None, "--cnf-dir": None},
         "classify": {"-n": None, "--format": ("json", "csv")},
         "graph": {"-n": None, "--store": None, "--format": ("json", "csv")},
         "report": {"-n": None, "--store": None},
@@ -324,6 +353,8 @@ def test_cli_option_surface(capsys):
     }
     assert main(["graph", "-n", "2", "--format", "table"]) == EXIT_USAGE
     assert main(["synth", "0x6", "-n", "2", "--format", "json"]) == EXIT_USAGE
+    assert main(["synth", "0x6", "-n", "2", "--campaign"]) == EXIT_USAGE
+    assert main(["synth", "0x6", "-n", "2", "--backend", "cnf-export"]) == EXIT_USAGE
 
 
 def test_usage_exit_code(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from aigopt.aig import AndGate, Literal, from_aiger
+from aigopt.aig import AndGate, Literal, from_aiger, to_aiger
 from aigopt.npn import apply_transform
 from aigopt.synthesis import (
     SearchInconclusiveError,
@@ -195,6 +195,7 @@ def test_search_node_counts_are_pinned():
     pins = {
         parse_hex("0x0169", 4): (24, 708, 19_564, 488_672),
         parse_hex("0x69", 3): (12, 234, 3_906, 59_862, 998_429),
+        TruthTable(1, 0b10): (0,),  # n = 1 has no fanin pair at all
     }
     for tt, counts in pins.items():
         for k, nodes in enumerate(counts, start=1):
@@ -204,9 +205,23 @@ def test_search_node_counts_are_pinned():
 
 
 def test_deterministic_witness():
-    a = exists_circuit(parse_hex("0x0001", 4), 3).witness
-    b = exists_circuit(parse_hex("0x0001", 4), 3).witness
-    assert a == b
+    """The first witness found depends on the candidate order, unlike an
+    infeasibility proof; these pins fix that order."""
+    pins = {
+        ("0x0006", 5): (
+            221_607,
+            "aag 9 4 0 1 5\n2\n4\n6\n8\n18\n"
+            "10 2 4\n12 3 5\n14 7 9\n16 11 13\n18 14 16\n",
+        ),
+        ("0x0001", 3): (
+            9_122,
+            "aag 7 4 0 1 3\n2\n4\n6\n8\n14\n10 3 5\n12 7 9\n14 10 12\n",
+        ),
+    }
+    for (tt_hex, k), (nodes, aag) in pins.items():
+        outcome = exists_circuit(parse_hex(tt_hex, 4), k)
+        assert outcome.nodes_visited == nodes, tt_hex
+        assert to_aiger(outcome.witness) == aag, tt_hex
 
 
 # ---------------------------------------------------------------------------
