@@ -40,6 +40,16 @@ smaller and the fifth only skips states already explored:
   values so far, the last signature and the set of unread gates, so a state
   once proven dead is skipped when another prefix reaches it again.
 
+The last gate is decided without walking its list.  It must compute the
+target up to complement, which no earlier node may already compute, and it
+must read every unread gate.  Beyond k = 1 the gate just placed is always
+unread, and the slack prune leaves at most one other unread gate, so only
+the pairs that read the newest gate (and that other gate, if any) can close
+the circuit; ``closers`` lists them.  ``nodes_visited`` still counts what a
+walk of the whole list would: every pair up to the first that closes, which
+is the witness such a walk returns, or the whole list when none does.  The
+node counts therefore stay the regression gates they were.
+
 The CNF encoding carries the first four.  Because the reductions forbid
 redundant gates, ``exists_circuit(tt, k)`` may report k infeasible for k above
 the optimum (a constant has no witness at any k >= 1); only the upward
@@ -156,16 +166,22 @@ def _candidate_pairs(max_node: int, mask: int):
 
 @lru_cache(maxsize=None)
 def _gate_choices(n: int, m: int):
-    """``(sigs, after)`` for a gate whose largest fanin node is m: the sorted
-    signatures of the pairs over nodes < m, and per rank ``cut`` the pairs that
-    read node m merged with those older pairs from ``cut`` on, signature-sorted.
+    """``(sigs, after, closers)`` for a gate whose largest fanin node is m: the
+    sorted signatures of the pairs over nodes < m, and per rank ``cut`` the
+    pairs that read node m merged with those older pairs from ``cut`` on,
+    signature-sorted.  For each gate node a < m, ``closers[1 << a]`` holds the
+    pairs (a, m); ``closers[0]`` holds every pair that reads m.  Both are
+    signature-sorted and key on the unread gates other than m.
     """
     mask = (1 << (1 << n)) - 1
     older = _candidate_pairs(m - 1, mask)
     fresh = [c for c in _candidate_pairs(m, mask) if c[3] == m]
     sigs = [c[0] for c in older]
     after = [sorted(fresh + older[cut:]) for cut in range(len(older) + 1)]
-    return sigs, after
+    closers = {0: fresh}
+    for a in range(n + 1, m):
+        closers[1 << a] = [c for c in fresh if c[1] == a]
+    return sigs, after, closers
 
 
 def _trivial_witness(tt: TruthTable) -> AigCircuit | None:
@@ -184,7 +200,6 @@ def _trivial_witness(tt: TruthTable) -> AigCircuit | None:
 
 
 _MEMO_CAP = 1 << 20
-_BUDGET_STRIDE = 8192
 
 
 def exists_circuit(
@@ -202,6 +217,7 @@ def exists_circuit(
     mask = tt.mask
     target = tt.bits
     target_c = target ^ mask
+    target_n = min(target, target_c)
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
 
     values = [0] * (n + 1 + k)
@@ -217,32 +233,41 @@ def exists_circuit(
     def search(node: int, prev_sig: int, no_fanout: int) -> AigCircuit | None:
         """Place the gate at ``node``; ``no_fanout`` is a bitmask of unread gates."""
         nonlocal nodes_visited
-        last = node == n + k
-        slack = 2 * (n + k - node)
-
-        prefix = tuple(values[n + 1 : node])
+        if deadline is not None and time.monotonic() > deadline:
+            raise _BudgetExceeded
 
         # The first gate has prev_sig = -1, which keeps every pair.
-        sigs, after = _gate_choices(n, node - 1)
-        for cand in after[bisect_left(sigs, prev_sig)]:
+        sigs, after, closers = _gate_choices(n, node - 1)
+        pairs = after[bisect_left(sigs, prev_sig)]
+
+        if node == n + k:
+            # Every pair is counted as visited up to the first that closes
+            # the circuit, or all of them when none does.
+            if target_n not in seen:
+                # Beyond k = 1 the gate just placed is unread, so only pairs
+                # that read it can close; the slack prune left at most one
+                # other unread gate, which the pair must read too.
+                scan = closers[no_fanout ^ (1 << (node - 1))] if no_fanout else pairs
+                for cand in scan:
+                    _, j0, x0, j1, x1 = cand
+                    v = (values[j0] ^ x0) & (values[j1] ^ x1)
+                    if v == target or v == target_c:
+                        nodes_visited += pairs.index(cand) + 1
+                        return _chain_to_circuit(
+                            n, chain + [cand], complement=(v == target_c)
+                        )
+            nodes_visited += len(pairs)
+            return None
+
+        slack = 2 * (n + k - node)
+        prefix = tuple(values[n + 1 : node])
+        for cand in pairs:
             sig, j0, x0, j1, x1 = cand
-
             nodes_visited += 1
-            if deadline is not None and not nodes_visited & (_BUDGET_STRIDE - 1):
-                if time.monotonic() > deadline:
-                    raise _BudgetExceeded
-
             v = (values[j0] ^ x0) & (values[j1] ^ x1)
             vn = v if v <= v ^ mask else v ^ mask
             if vn in seen:
                 continue
-
-            if last:
-                if v != target and v != target_c:
-                    continue
-                if no_fanout & ~((1 << j0) | (1 << j1)):
-                    continue
-                return _chain_to_circuit(n, chain + [cand], complement=(v == target_c))
 
             new_no_fanout = (no_fanout | (1 << node)) & ~((1 << j0) | (1 << j1))
             if new_no_fanout.bit_count() > slack:

@@ -58,6 +58,15 @@ def test_budget_stop_is_not_infeasibility():
     assert not outcome.proven_infeasible
     assert outcome.budget_exhausted
 
+    # The deadline is checked once per gate placed, not per candidate; the
+    # full proof visits 13,312,466 nodes.
+    outcome = exists_circuit(
+        parse_hex("0x0169", 4), 5, SynthesisConfig(time_budget=0.05)
+    )
+    assert outcome.budget_exhausted
+    assert outcome.nodes_visited < 13_312_466
+    assert outcome.elapsed < 1.0
+
 
 def test_opt_size_minterm_of_four_is_three_exact():
     result = opt_size(parse_hex("0x0001", 4))
@@ -216,6 +225,13 @@ def test_deterministic_witness():
         ("0x0001", 3): (
             9_122,
             "aag 7 4 0 1 3\n2\n4\n6\n8\n14\n10 3 5\n12 7 9\n14 10 12\n",
+        ),
+        ("0x8888", 1): (1, "aag 5 4 0 1 1\n2\n4\n6\n8\n10\n10 2 4\n"),
+        # The first gate already computes the target, so one last-gate list
+        # is counted whole before the witness closes with one unread gate.
+        ("0x8888", 2): (
+            49,
+            "aag 6 4 0 1 2\n2\n4\n6\n8\n12\n10 2 5\n12 2 11\n",
         ),
     }
     for (tt_hex, k), (nodes, aag) in pins.items():
