@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .truthtable import TruthTable, var_table
+from .truthtable import TruthTable, _check_var_count, var_table
 
 CONST_NODE = 0
 
@@ -87,11 +87,11 @@ class AigCircuit:
 
     def evaluate(self) -> TruthTable:
         """Bitwise-parallel simulation over all 2^n input rows."""
+        # Checked before anything is sized by n: the mask alone has 2^n bits.
+        _check_var_count(self.n)
         problems = self.validate()
         if problems:
             raise ValueError("invalid circuit: " + "; ".join(problems))
-        if self.n < 1:
-            raise ValueError("cannot evaluate a circuit with no inputs as a truth table")
         mask = (1 << (1 << self.n)) - 1
         values = [0] * self.node_count
         for i in range(self.n):

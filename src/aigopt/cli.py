@@ -1,12 +1,14 @@
 """Command-line surface: synthesis runs, class lists, graphs, bound checks.
 
 Machine-readable JSON goes to stdout as a single document; human-readable
-summaries go to stderr.  ``classify`` and ``graph`` print CSV instead with
-``--format csv``; ``report`` prints the histogram as a table.  ``synth``
+summaries go to stderr, where ``graph`` also prints its |delta| histogram.
+``classify`` and ``graph`` print CSV instead with ``--format csv``.  ``synth``
 searches one function, ``campaign`` every NPN class of n (appending each record
-as its class finishes) and ``cnf-export`` writes DIMACS queries.  Commands that
-enumerate NPN classes (``classify``, ``graph``, ``report``, ``verify``,
-``campaign``) accept n <= 4 only.  Exit codes: 0 success (or bound holds),
+as its class finishes) and ``cnf-export`` writes DIMACS queries.  ``oracle``
+runs ``opt_size`` once per NPN class of n <= 3 and stores every function with
+its class's witness moved by ``npn.transform_circuit``.  Commands that
+enumerate NPN classes (``classify``, ``graph``, ``verify``, ``campaign``)
+accept n <= 4 only.  Exit codes: 0 success (or bound holds),
 1 usage error, 2 upper-bound/unknown result, 3 bound violation, 4 incomplete
 store.
 """
@@ -27,14 +29,13 @@ from pathlib import Path
 
 from .aig import from_aiger, to_aiger
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
-from .npn import NpnClassTable, enumerate_classes
+from .npn import NpnClassTable, canonicalize, enumerate_classes, transform_circuit
 from .repair import repair_clear, repair_multi, repair_set
 from .store import ResultRecord, append_record, load_store, record_from_result
 from .synthesis import (
     SearchInconclusiveError,
     Status,
     SynthesisConfig,
-    brute_oracle,
     encode_cnf,
     opt_size,
 )
@@ -148,6 +149,25 @@ def cmd_cnf_export(args) -> int:
     return EXIT_OK
 
 
+def _finished_outcomes(futures):
+    """Each result as its class finishes.  After the first worker error, the
+    classes not yet started are cancelled, those still running are yielded as
+    they finish, and then the error is raised."""
+    error = None
+    for future in as_completed(futures):
+        try:
+            outcome = future.result()
+        except Exception as exc:  # a cancelled class raises CancelledError here
+            if error is None:
+                error = exc
+                for queued in futures:
+                    queued.cancel()
+            continue
+        yield outcome
+    if error is not None:
+        raise error
+
+
 def cmd_campaign(args) -> int:
     try:
         cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
@@ -179,10 +199,9 @@ def cmd_campaign(args) -> int:
         outcomes = map(run, todo)
         if args.jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-            futures = [pool.submit(run, tt_hex) for tt_hex in todo]
-            outcomes = (future.result() for future in as_completed(futures))
+            outcomes = _finished_outcomes([pool.submit(run, tt_hex) for tt_hex in todo])
         # Each record is appended as its class finishes, so a crash loses only
-        # the classes still running.
+        # the classes still running; a worker error is raised after those.
         for outcome in outcomes:
             if "error" in outcome:
                 failed += 1
@@ -351,8 +370,8 @@ def cmd_repair(args) -> int:
     except (OSError, ValueError) as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE
-    table = circuit.evaluate()
     try:
+        table = circuit.evaluate()
         if args.flip is not None:
             if not 0 <= args.flip < table.rows:
                 raise ValueError(f"flip row {args.flip} out of range for n={circuit.n}")
@@ -394,37 +413,38 @@ def cmd_oracle(args) -> int:
         _human("error: oracle mode requires --store or " + STORE_ENV)
         return EXIT_USAGE
     started = time.monotonic()
-    oracle = brute_oracle(args.n)
+    solved = {c.canon.bits: opt_size(c.canon) for c in enumerate_classes(args.n)}
     elapsed_ms = int((time.monotonic() - started) * 1000)
     stamp = datetime.now(timezone.utc).isoformat()
-    max_size = 0
-    for bits in sorted(oracle):
-        entry = oracle[bits]
+    functions = 1 << (1 << args.n)
+    for bits in range(functions):
         tt = TruthTable(args.n, bits)
+        canon, t = canonicalize(tt)
+        result = solved[canon.bits]
         record = ResultRecord(
             tt_hex=tt.hex(),
             n=args.n,
-            size=entry.size,
-            status=Status.EXACT.value,
-            exhausted_below=entry.size - 1,
-            witness_aag=to_aiger(entry.witness),
+            size=result.size,
+            status=result.status.value,
+            exhausted_below=result.exhausted_below,
+            witness_aag=to_aiger(transform_circuit(result.witness, t.inverse())),
             backend="oracle",
             elapsed_ms=elapsed_ms,
             timestamp=stamp,
         )
         append_record(store, record)
-        max_size = max(max_size, entry.size)
+    max_size = max(result.size for result in solved.values())
     _emit(
         {
             "schema": "aigopt.oracle/1",
             "n": args.n,
-            "functions": len(oracle),
+            "functions": functions,
             "max_size": max_size,
             "elapsed_ms": elapsed_ms,
             "store": str(store),
         }
     )
-    _human(f"oracle: {len(oracle)} exact records (max size {max_size}) -> {store}")
+    _human(f"oracle: {functions} exact records (max size {max_size}) -> {store}")
     return EXIT_OK
 
 
@@ -482,11 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("report", help="graph histogram in table form")
-    p.add_argument("-n", type=int, required=True)
-    _add_store_flag(p)
-    p.set_defaults(func=cmd_report)
-
     p = sub.add_parser("verify", help="check |delta opt| <= n over the graph")
     p.add_argument("-n", type=int, required=True)
     _add_store_flag(p)
@@ -506,22 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     return parser
-
-
-def cmd_report(args) -> int:
-    graph, code = _graph_from_store(args)
-    if graph is None:
-        return code
-    if graph.summary.exact_edge_total == 0:
-        _human("no exact-exact edges to report")
-        return EXIT_INCOMPLETE_STORE
-    table = _render_histogram(graph)
-    print(table)
-    _human(
-        f"mean |delta| = {graph.summary.mean_abs_delta:.2f}, "
-        f"share(|delta| <= 2) = {100 * graph.summary.share_delta_le_2:.1f}%"
-    )
-    return EXIT_OK
 
 
 def main(argv=None) -> int:

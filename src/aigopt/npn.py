@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .aig import AigCircuit, AndGate, Literal
 from .truthtable import TruthTable
 
 MAX_CLASS_VARS = 4
@@ -80,6 +81,26 @@ def apply_transform(tt: TruthTable, t: NpnTransform) -> TruthTable:
     if t.output_neg:
         bits ^= tt.mask
     return TruthTable(tt.n, bits)
+
+
+def transform_circuit(c: AigCircuit, t: NpnTransform) -> AigCircuit:
+    """A circuit of the same size computing ``apply_transform(c.evaluate(), t)``.
+
+    Input x_i reads x_perm[i], negated when ``input_neg`` bit i is set; gate
+    nodes keep their numbers, so only input literals and the output change.
+    """
+    if t.n != c.n:
+        raise ValueError(f"arity mismatch: circuit n={c.n}, transform n={t.n}")
+
+    def move(lit: Literal) -> Literal:
+        if not 1 <= lit.node <= c.n:
+            return lit
+        i = lit.node - 1
+        return Literal(t.perm[i] + 1, lit.complement ^ bool((t.input_neg >> i) & 1))
+
+    gates = tuple(AndGate.of(move(g.fanin0), move(g.fanin1)) for g in c.gates)
+    output = move(c.output)
+    return AigCircuit(c.n, gates, ~output if t.output_neg else output)
 
 
 @lru_cache(maxsize=8)

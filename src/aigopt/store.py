@@ -29,7 +29,9 @@ class ResultRecord:
     status: str  # "exact" | "upper-bound"
     exhausted_below: int
     witness_aag: str
-    backend: str  # provenance: "enum" (opt_size) | "oracle" (brute_oracle)
+    # Provenance: "enum" (opt_size on this table) or "oracle" (opt_size on its
+    # NPN class, the witness moved to this table by npn.transform_circuit).
+    backend: str
     elapsed_ms: int
     timestamp: str  # UTC ISO-8601
 

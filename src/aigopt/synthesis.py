@@ -4,11 +4,12 @@ Three routes live here:
 
 * ``exists_circuit`` / ``opt_size`` — per-function iterative-deepening search
   over a canonical, symmetry-broken circuit space.  This is the one engine
-  that answers size queries; ``SynthesisConfig`` sets only its gate cap and
-  per-query time budget.
+  that answers size queries, the ``oracle`` command's included;
+  ``SynthesisConfig`` sets only its gate cap and per-query time budget.
 * ``brute_oracle`` — an independent breadth-first sweep over reachable
-  function sets for n <= 3, covering every function at once.  It shares no
-  search code with the per-function route and is used to cross-check it.
+  function sets for n <= 3, covering every function at once.  It returns
+  sizes only, shares no search code with the per-function route and is the
+  reference the tests check that route against.
 * ``encode_cnf`` / ``decode_model`` — a DIMACS export/import path so an
   external SAT solver can answer the same per-(function, k) question.  No
   solver is embedded.
@@ -345,26 +346,23 @@ def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult
 # ---------------------------------------------------------------------------
 
 
-# Fanin indices are packed into 4-bit fields, and a gate at level L reads
-# indices up to n + L - 2, so n = 3 fits through level 14.
-_ORACLE_MAX_LEVELS = 14
-
-
 @dataclass(frozen=True, slots=True)
 class OracleEntry:
     size: int
-    witness: AigCircuit
 
 
 def brute_oracle(n: int) -> dict[int, OracleEntry]:
     """Exact sizes for every n-variable function, n <= 3.
 
     Breadth-first over circuit prefixes: a state is the set of gate output
-    functions built so far (inputs implicit), deduplicated as a set and with
-    each function normalized up to complement.  Level k states are exactly
-    the function sets realizable by k-gate circuits, so the first level at
-    which a function appears is its exact optimum.  This is a genuine
-    circuit-space search; function sizes are never summed.
+    functions built so far (inputs implicit), each normalized up to
+    complement, and it is expanded from those functions alone, since a
+    fanin may be complemented for free.  Level k states are exactly the
+    function sets realizable by k-gate circuits, so the first level at which
+    a function appears is its exact optimum.  This is a genuine
+    circuit-space search; function sizes are never summed.  It returns sizes
+    only and serves as the reference the per-function route is tested
+    against.
     """
     if not 1 <= n <= 3:
         raise ValueError("brute oracle supports n <= 3 only")
@@ -372,95 +370,49 @@ def brute_oracle(n: int) -> dict[int, OracleEntry]:
     mask = (1 << rows) - 1
     inputs = [var_table(n, i).bits for i in range(n)]
 
-    result: dict[int, OracleEntry] = {}
+    sizes = {0: 0, mask: 0}
+    for v in inputs:
+        sizes[v] = sizes[v ^ mask] = 0
+    uncovered = (1 << rows) - len(sizes)
+    base_patterns = {0} | {min(v, v ^ mask) for v in inputs}
 
-    def cover(bits: int, size: int, witness: AigCircuit) -> None:
-        if bits not in result:
-            result[bits] = OracleEntry(size, witness)
-
-    cover(0, 0, AigCircuit(n, (), Literal(0, False)))
-    cover(mask, 0, AigCircuit(n, (), Literal(0, True)))
-    for i, v in enumerate(inputs):
-        cover(v, 0, AigCircuit(n, (), Literal(i + 1, False)))
-        cover(v ^ mask, 0, AigCircuit(n, (), Literal(i + 1, True)))
-
-    total = 1 << rows
-    base_patterns = frozenset({0} | {min(v, v ^ mask) for v in inputs})
-
-    def chain_gates(chain: int, count: int) -> list[tuple[int, int, int, int]]:
-        specs = []
-        for g in range(count):
-            spec = (chain >> (10 * g)) & 0x3FF
-            j0 = spec & 0xF
-            c0 = (spec >> 4) & 1
-            j1 = (spec >> 5) & 0xF
-            c1 = (spec >> 9) & 1
-            specs.append((j0, c0, j1, c1))
-        return specs
-
-    def chain_witness(chain: int, count: int, complement: bool) -> AigCircuit:
-        gates = tuple(
-            AndGate.of(Literal(j0 + 1, bool(c0)), Literal(j1 + 1, bool(c1)))
-            for j0, c0, j1, c1 in chain_gates(chain, count)
-        )
-        return AigCircuit(n, gates, Literal(n + count, complement))
-
-    # State key: gate patterns normalized up to complement, sorted, packed
-    # ``rows`` bits apiece.  Chain: per gate 10 bits (j0, c0, j1, c1) where
-    # j indexes inputs then gates in creation order.
-    frontier: dict[int, int] = {0: 0}
+    # State key: gate patterns sorted and packed ``rows`` bits apiece.
+    frontier = {0}
     level = 0
-    uncovered = total - len(result)
-    while uncovered and frontier and level < _ORACLE_MAX_LEVELS:
+    while uncovered:
+        if not frontier:
+            raise RuntimeError(
+                f"oracle frontier ran out at level {level} with {uncovered} "
+                "functions uncovered"
+            )
         level += 1
-        next_frontier: dict[int, int] = {}
-        for key, chain in frontier.items():
-            specs = chain_gates(chain, level - 1)
-            vals = list(inputs)
-            for j0, c0, j1, c1 in specs:
-                a = vals[j0] ^ (mask if c0 else 0)
-                b = vals[j1] ^ (mask if c1 else 0)
-                vals.append(a & b)
-            patset = set(base_patterns)
-            kpats = []
-            kk = key
+        next_frontier = set()
+        for key in frontier:
+            pats = []
             for _ in range(level - 1):
-                p = kk & mask
-                patset.add(p)
-                kpats.append(p)
-                kk >>= rows
-            m = len(vals)
-            for j0 in range(m):
-                va = vals[j0]
-                for j1 in range(j0 + 1, m):
-                    vb = vals[j1]
-                    for c0, c1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                        v = (va ^ (mask if c0 else 0)) & (vb ^ (mask if c1 else 0))
+                pats.append(key & mask)
+                key >>= rows
+            known = base_patterns.union(pats)
+            nodes = inputs + pats
+            for a, va in enumerate(nodes):
+                na = va ^ mask
+                for vb in nodes[a + 1 :]:
+                    nb = vb ^ mask
+                    for v in (va & vb, va & nb, na & vb, na & nb):
                         vn = v if v <= v ^ mask else v ^ mask
-                        if vn in patset:
+                        if vn in known:
                             continue
-                        inserted = sorted(kpats + [vn])
-                        newkey = 0
-                        for p in reversed(inserted):
-                            newkey = (newkey << rows) | p
-                        if newkey in next_frontier:
-                            continue
-                        spec = j0 | (c0 << 4) | (j1 << 5) | (c1 << 9)
-                        newchain = chain | (spec << (10 * (level - 1)))
-                        next_frontier[newkey] = newchain
-                        if v not in result:
-                            witness = chain_witness(newchain, level, False)
-                            cover(v, level, witness)
-                            cover(v ^ mask, level, chain_witness(newchain, level, True))
+                        packed = 0
+                        for p in sorted(pats + [vn], reverse=True):
+                            packed = (packed << rows) | p
+                        next_frontier.add(packed)
+                        if v not in sizes:
+                            sizes[v] = sizes[v ^ mask] = level
                             uncovered -= 2
-                            if uncovered == 0:
-                                return result
+            if not uncovered:
+                break
         frontier = next_frontier
-    if uncovered:
-        raise RuntimeError(
-            f"oracle did not cover all functions within {_ORACLE_MAX_LEVELS} levels"
-        )
-    return result
+    return {bits: OracleEntry(size) for bits, size in sizes.items()}
 
 
 # ---------------------------------------------------------------------------

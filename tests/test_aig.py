@@ -94,6 +94,9 @@ def test_evaluate_rejects_invalid_circuit():
     bad = AigCircuit(2, (AndGate(Literal(2), Literal(1)),), Literal(3))
     with pytest.raises(ValueError):
         bad.evaluate()
+    for n in (0, 7):
+        with pytest.raises(ValueError, match=r"1\.\.6"):
+            AigCircuit(n, (), FALSE).evaluate()
 
 
 def test_size_counts_gates_only():

@@ -118,10 +118,23 @@ def test_oracle_then_graph_and_verify(capsys, tmp_path):
     assert doc["holds"] is True
     assert doc["bound"] == 2
 
-    code, out, err = run(capsys, "report", "-n", "2", "--store", str(store))
+
+def test_oracle_agrees_with_brute_oracle_n3(capsys, tmp_path, oracle3):
+    """Two routes at n=3: per-class opt_size witnesses mapped to every
+    function, against the breadth-first reference sizes."""
+    store = tmp_path / "oracle3.jsonl"
+    code, out, _ = run(capsys, "oracle", "-n", "3", "--store", str(store))
     assert code == EXIT_OK
-    assert "|delta|" in out
-    assert "mean |delta|" in err
+    assert json.loads(out)["functions"] == 256
+    loaded = load_store(store)
+    assert loaded.issues == []
+    records = loaded.by_bits()
+    assert sorted(records) == list(range(256))
+    for bits, rec in records.items():
+        assert rec.size == oracle3[bits].size, rec.tt_hex
+        witness = from_aiger(rec.witness_aag)
+        assert witness.evaluate().bits == bits
+        assert witness.size() == rec.size
 
 
 def test_graph_csv_edges(capsys, tmp_path):
@@ -210,6 +223,23 @@ def test_repair_flip_out_of_range(capsys, tmp_path):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "aag",
+    [
+        "aag 0 0 0 1 0\n1\n",
+        "aag 7 7 0 1 0\n2\n4\n6\n8\n10\n12\n14\n2\n",
+    ],
+    ids=["0-inputs", "7-inputs"],
+)
+def test_repair_rejects_input_count_out_of_range(capsys, tmp_path, aag):
+    src = tmp_path / "c.aag"
+    src.write_text(aag)
+    code, out, err = run(capsys, "repair", str(src), "--flip", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err and "1..6" in err
+
+
 def test_repair_default_output_path(capsys, tmp_path):
     witness = opt_size(parse_hex("0x8", 2)).witness
     src = tmp_path / "c.aag"
@@ -250,6 +280,35 @@ def test_campaign_keeps_records_before_a_crash(capsys, tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="simulated crash"):
         main(["campaign", "-n", "3", "--store", str(store)])
     assert sorted(load_store(store).best) == sorted(calls[:2])
+
+
+def test_parallel_campaign_keeps_finished_classes_after_a_worker_error(tmp_path, monkeypatch):
+    """A worker error cancels the classes not yet started, yet every class
+    that finishes is still appended before the error is raised."""
+    import time
+
+    import aigopt.cli as cli
+
+    real_opt_size = cli.opt_size
+    markers = tmp_path / "finished"
+    markers.mkdir()
+
+    def crash_on_0x00(tt, cfg):
+        if tt.hex() == "0x00":
+            raise RuntimeError("simulated worker crash")
+        time.sleep(0.3)  # keep the first error ahead of the queued classes
+        result = real_opt_size(tt, cfg)
+        (markers / tt.hex()).touch()
+        return result
+
+    monkeypatch.setattr(cli, "opt_size", crash_on_0x00)  # inherited by forked workers
+    store = tmp_path / "crash.jsonl"
+    with pytest.raises(RuntimeError, match="simulated worker crash"):
+        main(["campaign", "-n", "3", "--jobs", "2", "--store", str(store)])
+    finished = sorted(p.name for p in markers.iterdir())
+    assert finished
+    assert sorted(load_store(store).best) == finished
+    assert len(finished) < 13  # some of the 13 other classes never started
 
 
 def test_campaign_parallel_jobs(capsys, tmp_path):
@@ -302,7 +361,6 @@ def test_campaign_rejects_jobs_below_one(capsys, tmp_path):
     [
         ["classify", "-n", "5"],
         ["graph", "-n", "5", "--store"],
-        ["report", "-n", "5", "--store"],
         ["verify", "-n", "5", "--store"],
         ["campaign", "-n", "5", "--store"],
     ],
@@ -346,7 +404,6 @@ def test_cli_option_surface(capsys):
         "cnf-export": {"tt": None, "-n": None, "--max-gates": None, "--cnf-dir": None},
         "classify": {"-n": None, "--format": ("json", "csv")},
         "graph": {"-n": None, "--store": None, "--format": ("json", "csv")},
-        "report": {"-n": None, "--store": None},
         "verify": {"-n": None, "--store": None},
         "repair": {"input": None, "--flip": None, "--target": None, "-o/--output": None},
         "oracle": {"-n": (1, 2, 3), "--store": None},

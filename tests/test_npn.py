@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aigopt.npn import (
     NpnTransform,
     apply_transform,
     canonicalize,
     enumerate_classes,
+    transform_circuit,
 )
 from aigopt.truthtable import Assignment, TruthTable, parse_hex
 
-from helpers import naive_orbit_partition
+from helpers import naive_orbit_partition, random_circuit
 
 
 def random_transform(rng: random.Random, n: int) -> NpnTransform:
@@ -63,13 +66,32 @@ def test_apply_matches_row_by_row_reference():
             assert apply_transform(tt, t) == brute_apply(tt, t)
 
 
-def test_transform_then_inverse_is_identity():
-    rng = random.Random(17)
-    for n in (1, 2, 3, 4):
-        for _ in range(25):
-            tt = TruthTable(n, rng.randrange(1 << (1 << n)))
-            t = random_transform(rng, n)
-            assert apply_transform(apply_transform(tt, t), t.inverse()) == tt
+@st.composite
+def circuits_and_transforms(draw):
+    """A random valid circuit over n = 1..4 inputs and an NPN transform of n."""
+    n = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    circuit = random_circuit(random.Random(seed), n, 8, allow_const=True)
+    perm = draw(st.permutations(range(n)))
+    t = NpnTransform(tuple(perm), draw(st.integers(0, (1 << n) - 1)), draw(st.booleans()))
+    return circuit, t
+
+
+@given(circuits_and_transforms())
+def test_transform_then_inverse_is_identity(case):
+    circuit, t = case
+    tt = circuit.evaluate()
+    assert apply_transform(apply_transform(tt, t), t.inverse()) == tt
+    assert apply_transform(apply_transform(tt, t.inverse()), t) == tt
+
+
+@given(circuits_and_transforms())
+def test_transform_circuit_matches_apply_transform(case):
+    circuit, t = case
+    moved = transform_circuit(circuit, t)
+    assert moved.validate() == []
+    assert moved.evaluate() == apply_transform(circuit.evaluate(), t)
+    assert moved.size() == circuit.size()
 
 
 def test_transform_validation():

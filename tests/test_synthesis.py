@@ -152,32 +152,9 @@ def test_oracle_n2_exactly_two_functions_cost_three(oracle2):
     assert max(e.size for e in oracle2.values()) == 3
 
 
-def test_oracle_witnesses_sound(oracle3):
-    assert len(oracle3) == 256
-    assert max(e.size for e in oracle3.values()) < 16
-    for bits, entry in oracle3.items():
-        assert entry.witness.evaluate().bits == bits
-        assert entry.witness.size() == entry.size
-
-
 def test_oracle_rejects_large_n():
     with pytest.raises(ValueError):
         brute_oracle(4)
-
-
-def test_oracle_level_cap_fails_loudly(monkeypatch):
-    import aigopt.synthesis as synthesis
-
-    monkeypatch.setattr(synthesis, "_ORACLE_MAX_LEVELS", 2)
-    with pytest.raises(RuntimeError, match="within 2 levels"):
-        brute_oracle(2)  # XOR needs three levels
-
-
-def test_oracle_level_cap_fits_fanin_fields():
-    import aigopt.synthesis as synthesis
-
-    # the last gate of an n=3 chain reads index n + levels - 2 (4-bit field)
-    assert 3 + synthesis._ORACLE_MAX_LEVELS - 2 <= 0xF
 
 
 def test_opt_size_agrees_with_oracle_n2(oracle2):
