@@ -31,7 +31,7 @@ from .aig import from_aiger, to_aiger
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
 from .npn import NpnClassTable, canonicalize, enumerate_classes, transform_circuit
 from .repair import repair_clear, repair_multi, repair_set
-from .store import ResultRecord, append_record, load_store, record_from_result
+from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
 from .synthesis import (
     SearchInconclusiveError,
     Status,
@@ -64,6 +64,14 @@ def _store_path(args) -> Path | None:
         return Path(args.store)
     env = os.environ.get(STORE_ENV)
     return Path(env) if env else None
+
+
+def _load_store(path: Path) -> LoadedStore:
+    """Load a store, naming each rejected line on stderr."""
+    loaded = load_store(path)
+    for issue in loaded.issues:
+        _human(f"store line {issue.line_number} rejected: {issue.reason}")
+    return loaded
 
 
 def _class_table(n: int) -> NpnClassTable | None:
@@ -185,7 +193,7 @@ def cmd_campaign(args) -> int:
         return EXIT_USAGE
     done: set[str] = set()
     if store.exists():
-        loaded = load_store(store)
+        loaded = _load_store(store)
         done = {
             rec.tt_hex
             for rec in loaded.best.values()
@@ -265,9 +273,7 @@ def _graph_from_store(args) -> tuple[MutationGraph | None, int]:
     table = _class_table(args.n)
     if table is None:
         return None, EXIT_USAGE
-    loaded = load_store(store)
-    for issue in loaded.issues:
-        _human(f"store line {issue.line_number} rejected: {issue.reason}")
+    loaded = _load_store(store)
     try:
         graph = build_graph(table, loaded.by_bits())
     except IncompleteStoreError as exc:

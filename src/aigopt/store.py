@@ -114,12 +114,13 @@ def load_store(path: str | Path) -> LoadedStore:
     best: dict[str, ResultRecord] = {}
     issues: list[LoadIssue] = []
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
+                # A non-UTF-8 line raises UnicodeDecodeError, a ValueError.
+                line = line.decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
                 raw = json.loads(line)
                 record = ResultRecord(**raw)
                 record.verify()

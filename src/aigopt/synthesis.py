@@ -11,8 +11,10 @@ Three routes live here:
   sizes only, shares no search code with the per-function route and is the
   reference the tests check that route against.
 * ``encode_cnf`` / ``decode_model`` — a DIMACS export/import path so an
-  external SAT solver can answer the same per-(function, k) question.  No
-  solver is embedded.
+  external SAT solver can answer the same per-(function, k) question.  One
+  numbering function, ``_cnf_layout``, is shared by the encoder and the
+  decoder, and the decoder builds its circuit with the search's
+  ``_chain_to_circuit``.  No solver is embedded.
 
 Enumeration canonical form: gates occupy nodes n+1..n+k in creation order,
 fanin pairs are sorted, the last gate is the output root, and a gate that
@@ -82,7 +84,8 @@ class SynthesisConfig:
     def __post_init__(self) -> None:
         if self.max_gates < 0:
             raise ValueError("max_gates must be >= 0")
-        if self.time_budget is not None and self.time_budget <= 0:
+        # NaN compares false, so only this form rejects it; inf means no limit.
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
 
 
@@ -420,51 +423,25 @@ def brute_oracle(n: int) -> dict[int, OracleEntry]:
 # ---------------------------------------------------------------------------
 
 
-class _CnfLayout:
-    """Deterministic variable numbering shared by encoder and decoder."""
+def _cnf_layout(n: int, k: int):
+    """Variable numbering shared by ``encode_cnf`` and ``decode_model``.
 
-    def __init__(self, n: int, k: int):
-        if k < 1:
-            raise ValueError("CNF encoding requires k >= 1")
-        self.n = n
-        self.k = k
-        self.rows = 1 << n
-        mask = (1 << self.rows) - 1
-        self.candidates = {
-            i: _candidate_pairs(n + i - 1, mask) for i in range(1, k + 1)
-        }
-        nv = 0
-        self.sel_base = {}
-        for i in range(1, k + 1):
-            self.sel_base[i] = nv + 1
-            nv += len(self.candidates[i])
-        self.val_base = {}
-        for i in range(1, k + 1):
-            self.val_base[i] = nv + 1
-            nv += self.rows
-        self.out_var = nv + 1
-        nv += 1
-        self.aux_start = nv + 1
-        self.num_vars = nv  # distinctness aux vars are appended by the encoder
-
-    def sel_var(self, i: int, cand_index: int) -> int:
-        return self.sel_base[i] + cand_index
-
-    def val_var(self, i: int, row: int) -> int:
-        return self.val_base[i] + row
-
-
-def _fanin_row_literal(layout: _CnfLayout, node: int, comp: int, row: int):
-    """Either a constant 0/1 or a signed CNF literal for node value at row."""
-    n = layout.n
-    if node == 0:
-        return ("const", comp)
-    if node <= n:
-        bit = (row >> (node - 1)) & 1
-        return ("const", bit ^ comp)
-    gate = node - n
-    var = layout.val_var(gate, row)
-    return ("var", -var if comp else var)
+    Returns ``(candidates, sel_base, out_var)``: gate i's (1..k) fanin pairs
+    ``candidates[i - 1]``, numbered from selection variable ``sel_base[i - 1]``
+    on, and the output polarity variable.  The 2^n value variables of each gate
+    sit in gate order between the last selection variable and ``out_var``, so
+    gate i's value on row r is ``out_var - (k + 1 - i) * 2^n + r``.
+    """
+    if k < 1:
+        raise ValueError("CNF encoding requires k >= 1")
+    mask = (1 << (1 << n)) - 1
+    candidates = [_candidate_pairs(n + i - 1, mask) for i in range(1, k + 1)]
+    sel_base = []
+    nv = 0
+    for cands in candidates:
+        sel_base.append(nv + 1)
+        nv += len(cands)
+    return candidates, sel_base, nv + k * (1 << n) + 1
 
 
 def encode_cnf(tt: TruthTable, k: int) -> str:
@@ -475,64 +452,53 @@ def encode_cnf(tt: TruthTable, k: int) -> str:
     encoded because it never changes satisfiability.  The variable layout is
     documented in the comment header and is reproduced by ``decode_model``.
     """
-    layout = _CnfLayout(tt.n, k)
-    n, rows = tt.n, layout.rows
+    n, rows = tt.n, tt.rows
+    candidates, sel_base, out_var = _cnf_layout(n, k)
+    # values[i - 1][r] is gate i's value variable on row r.
+    values = [range(v, v + rows) for v in range(out_var - k * rows, out_var, rows)]
     clauses: list[tuple[int, ...]] = []
-    num_vars = layout.num_vars
 
-    def new_var() -> int:
-        nonlocal num_vars
-        num_vars += 1
-        return num_vars
-
-    for i in range(1, k + 1):
-        cands = layout.candidates[i]
-        sel = [layout.sel_var(i, t) for t in range(len(cands))]
+    for cands, base, gate_vals in zip(candidates, sel_base, values):
+        sel = range(base, base + len(cands))
         clauses.append(tuple(sel))
         for a in range(len(sel)):
             for b in range(a + 1, len(sel)):
                 clauses.append((-sel[a], -sel[b]))
-        for t, (_, j0, x0, j1, x1) in enumerate(cands):
-            s = sel[t]
-            c0 = 1 if x0 else 0
-            c1 = 1 if x1 else 0
-            for r in range(rows):
-                v = layout.val_var(i, r)
-                fa = _fanin_row_literal(layout, j0, c0, r)
-                fb = _fanin_row_literal(layout, j1, c1, r)
-                consts = [x[1] for x in (fa, fb) if x[0] == "const"]
-                lits = [x[1] for x in (fa, fb) if x[0] == "var"]
-                if 0 in consts:
+        for s, (_, j0, x0, j1, x1) in zip(sel, cands):
+            for r, v in enumerate(gate_vals):
+                # An input fanin is a constant on each row; a gate fanin is a
+                # signed value literal.  A constant 0 forces the gate to 0,
+                # otherwise the gate is the AND of its literal fanins.
+                zero = False
+                lits = []
+                for j, x in ((j0, x0), (j1, x1)):
+                    if j <= n:
+                        zero |= ((r >> (j - 1)) & 1) == bool(x)
+                    else:
+                        lit = values[j - n - 1][r]
+                        lits.append(-lit if x else lit)
+                if zero:
                     clauses.append((-s, -v))
-                elif not lits:
-                    clauses.append((-s, v))  # both fanins constant 1
-                elif len(lits) == 1:
-                    clauses.append((-s, -lits[0], v))
-                    clauses.append((-s, lits[0], -v))
-                else:
-                    la, lb = lits
-                    clauses.append((-s, -la, -lb, v))
-                    clauses.append((-s, la, -v))
-                    clauses.append((-s, lb, -v))
+                    continue
+                clauses.append((-s, *(-lit for lit in lits), v))
+                clauses.extend((-s, lit, -v) for lit in lits)
 
     # Output: value of gate k, complemented when the polarity var is true.
-    o = layout.out_var
-    for r in range(rows):
-        v = layout.val_var(k, r)
+    for r, v in enumerate(values[-1]):
         if (tt.bits >> r) & 1:
-            clauses.append((v, o))
-            clauses.append((-v, -o))
+            clauses.append((v, out_var))
+            clauses.append((-v, -out_var))
         else:
-            clauses.append((-v, o))
-            clauses.append((v, -o))
+            clauses.append((-v, out_var))
+            clauses.append((v, -out_var))
 
     # Every gate but the root is read by some later gate.
     for g in range(1, k):
         node = n + g
         users = [
-            layout.sel_var(i, t)
-            for i in range(g + 1, k + 1)
-            for t, (_, j0, _x0, j1, _x1) in enumerate(layout.candidates[i])
+            base + t
+            for cands, base in zip(candidates[g:], sel_base[g:])
+            for t, (_, j0, _x0, j1, _x1) in enumerate(cands)
             if j0 == node or j1 == node
         ]
         clauses.append(tuple(users))
@@ -540,30 +506,29 @@ def encode_cnf(tt: TruthTable, k: int) -> str:
     # No gate recomputes a constant, an input or an earlier gate, up to
     # complement.
     fixed = [0] + [var_table(n, i).bits for i in range(n)]
-    for i in range(1, k + 1):
+    for gate_vals in values:
         for pattern in fixed:
             for target in (pattern, pattern ^ tt.mask):
-                clause = []
-                for r in range(rows):
-                    v = layout.val_var(i, r)
-                    clause.append(v if not (target >> r) & 1 else -v)
-                clauses.append(tuple(clause))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
+                clauses.append(
+                    tuple(
+                        -v if (target >> r) & 1 else v
+                        for r, v in enumerate(gate_vals)
+                    )
+                )
+    num_vars = out_var
+    for i in range(k):
+        for j in range(i + 1, k):
             # differ somewhere, and differ from the complement somewhere
             for want_equal in (False, True):
-                marks = []
-                for r in range(rows):
-                    vi = layout.val_var(i, r)
-                    vj = layout.val_var(j, r)
-                    d = new_var()
+                marks = range(num_vars + 1, num_vars + rows + 1)
+                num_vars += rows
+                for d, vi, vj in zip(marks, values[i], values[j]):
                     if want_equal:
                         clauses.append((-d, vi, -vj))
                         clauses.append((-d, -vi, vj))
                     else:
                         clauses.append((-d, vi, vj))
                         clauses.append((-d, -vi, -vj))
-                    marks.append(d)
                 clauses.append(tuple(marks))
 
     header = [
@@ -576,17 +541,15 @@ def encode_cnf(tt: TruthTable, k: int) -> str:
         "c constraints: every gate but the root is read; no gate recomputes a "
         "constant, an input or an earlier gate up to complement",
     ]
-    for i in range(1, k + 1):
-        base = layout.sel_base[i]
-        count = len(layout.candidates[i])
+    for i, (cands, base, gate_vals) in enumerate(zip(candidates, sel_base, values), 1):
         header.append(
-            f"c gate {i}: selection vars {base}..{base + count - 1} "
-            f"({count} candidates), value vars "
-            f"{layout.val_base[i]}..{layout.val_base[i] + rows - 1}"
+            f"c gate {i}: selection vars {base}..{base + len(cands) - 1} "
+            f"({len(cands)} candidates), value vars "
+            f"{gate_vals[0]}..{gate_vals[-1]}"
         )
-    header.append(f"c output polarity var {layout.out_var} (true = complemented)")
-    if num_vars >= layout.aux_start:
-        header.append(f"c distinctness aux vars {layout.aux_start}..{num_vars}")
+    header.append(f"c output polarity var {out_var} (true = complemented)")
+    if num_vars > out_var:
+        header.append(f"c distinctness aux vars {out_var + 1}..{num_vars}")
 
     lines = header + [f"p cnf {num_vars} {len(clauses)}"]
     lines.extend(" ".join(str(x) for x in clause) + " 0" for clause in clauses)
@@ -623,20 +586,14 @@ def decode_model(model_text: str, k: int, n: int) -> AigCircuit | None:
             continue
         assignment.add(value)
 
-    layout = _CnfLayout(n, k)
-    gates = []
-    for i in range(1, k + 1):
-        chosen = [
-            t
-            for t in range(len(layout.candidates[i]))
-            if layout.sel_var(i, t) in assignment
-        ]
+    candidates, sel_base, out_var = _cnf_layout(n, k)
+    chain = []
+    for i, (cands, base) in enumerate(zip(candidates, sel_base), 1):
+        chosen = [c for t, c in enumerate(cands) if base + t in assignment]
         if len(chosen) != 1:
             raise ValueError(
                 f"model inconsistent with layout: gate {i} has "
                 f"{len(chosen)} selected candidates"
             )
-        _, j0, x0, j1, x1 = layout.candidates[i][chosen[0]]
-        gates.append(AndGate(Literal(j0, bool(x0)), Literal(j1, bool(x1))))
-    complement = layout.out_var in assignment
-    return AigCircuit(n, tuple(gates), Literal(n + k, complement))
+        chain.append(chosen[0])
+    return _chain_to_circuit(n, chain, complement=out_var in assignment)

@@ -13,9 +13,11 @@ from aigopt.cli import (
     build_parser,
     main,
 )
-from aigopt.store import HEADER, load_store
+from aigopt.store import HEADER, ResultRecord, append_record, load_store
 from aigopt.synthesis import opt_size
 from aigopt.truthtable import parse_hex
+
+from helpers import FOUR_GATE_XOR_AAG
 
 
 def run(capsys, *argv):
@@ -57,6 +59,11 @@ def test_synth_usage_error(capsys):
     code, _, err = run(capsys, "synth", "0xzz", "-n", "4")
     assert code == EXIT_USAGE
     assert "error" in err
+    code, _, err = run(
+        capsys, "synth", "0x0169", "-n", "4", "--max-gates", "4", "--budget-secs", "nan"
+    )
+    assert code == EXIT_USAGE
+    assert "error:" in err
 
 
 def test_synth_inconclusive_exit(capsys):
@@ -117,6 +124,35 @@ def test_oracle_then_graph_and_verify(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["holds"] is True
     assert doc["bound"] == 2
+
+
+def test_verify_exits_on_bound_violation(capsys, tmp_path):
+    """A forged Exact record for 0x6 at size 4 puts |delta| = 3 > n on the
+    0x1--0x6 edge; record verification cannot check optimality."""
+    store = tmp_path / "forged.jsonl"
+    for tt_hex in ("0x0", "0x1", "0x3"):
+        code, _, _ = run(capsys, "synth", tt_hex, "-n", "2", "--store", str(store))
+        assert code == EXIT_OK
+    append_record(
+        store,
+        ResultRecord(
+            tt_hex="0x6",
+            n=2,
+            size=4,
+            status="exact",
+            exhausted_below=3,
+            witness_aag=FOUR_GATE_XOR_AAG,
+            backend="enum",
+            elapsed_ms=0,
+            timestamp="2026-01-01T00:00:00+00:00",
+        ),
+    )
+    code, out, err = run(capsys, "verify", "-n", "2", "--store", str(store))
+    assert code == EXIT_BOUND_VIOLATION
+    doc = json.loads(out)
+    assert doc["holds"] is False
+    assert doc["violations"] == [{"a": "0x1", "b": "0x6", "delta": 3}]
+    assert "BOUND VIOLATED on 1 edges" in err
 
 
 def test_oracle_agrees_with_brute_oracle_n3(capsys, tmp_path, oracle3):
@@ -261,6 +297,26 @@ def test_campaign_small(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["skipped_exact"] == 4
     assert doc["new_exact"] == 0
+
+
+def test_store_rejections_named_by_campaign_and_graph(capsys, tmp_path):
+    store = tmp_path / "campaign2.jsonl"
+    run(capsys, "campaign", "-n", "2", "--store", str(store))
+    lines = store.read_bytes().splitlines(keepends=True)
+    edited = json.loads(lines[2])
+    edited["size"] = 9
+    lines[2] = json.dumps(edited).encode() + b"\n"
+    store.write_bytes(b"".join(lines) + b"\xff\xfe\n")
+
+    code, _, err = run(capsys, "campaign", "-n", "2", "--store", str(store))
+    assert code == EXIT_OK
+    assert "3 already exact, 1 to run" in err
+    assert "store line 3 rejected" in err
+    assert "store line 6 rejected" in err
+    code, _, err = run(capsys, "graph", "-n", "2", "--store", str(store))
+    assert code == EXIT_OK
+    assert "store line 3 rejected" in err
+    assert "store line 6 rejected" in err
 
 
 def test_campaign_keeps_records_before_a_crash(capsys, tmp_path, monkeypatch):

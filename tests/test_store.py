@@ -92,12 +92,13 @@ def test_earliest_timestamp_breaks_ties(tmp_path):
 def test_corrupt_line_reported_with_number(tmp_path):
     path = tmp_path / "store.jsonl"
     append_record(path, make_record())
-    with path.open("a") as fh:
-        fh.write("{not json\n")
+    with path.open("ab") as fh:
+        fh.write(b"{not json\n")
+        fh.write(b"\xff\xfe\n")  # not UTF-8: reported, not raised
     append_record(path, make_record(timestamp="2027-01-01T00:00:00+00:00"))
     loaded = load_store(path)
     assert len(loaded.best) == 1
-    assert [issue.line_number for issue in loaded.issues] == [3]
+    assert [issue.line_number for issue in loaded.issues] == [3, 4]
 
 
 def test_tampered_witness_rejected_at_load(tmp_path):

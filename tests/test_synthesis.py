@@ -137,6 +137,10 @@ def test_config_validation():
         SynthesisConfig(max_gates=-1)
     with pytest.raises(ValueError):
         SynthesisConfig(time_budget=0)
+    # NaN passes a ``<= 0`` test, yet a deadline of start + NaN never fires.
+    with pytest.raises(ValueError):
+        SynthesisConfig(time_budget=float("nan"))
+    assert SynthesisConfig(time_budget=float("inf")).time_budget == float("inf")
 
 
 def test_oracle_n1_both_classes_free():
@@ -238,14 +242,23 @@ def test_cnf_minterm_of_four_unsat_at_two_gates():
     assert not sat
 
 
-def test_cnf_xor_sat_at_three_gates(oracle2):
-    tt = parse_hex("0x6", 2)
-    cnf = encode_cnf(tt, 3)
-    sat, model = dpll_satisfiable(cnf)
-    assert sat
-    circuit = decode_model(model_text(model), 3, 2)
-    assert circuit.evaluate() == tt
-    assert circuit.size() == 3 == oracle2[tt.bits].size
+def test_cnf_agrees_with_brute_oracle(classes2, oracle2, oracle3):
+    """Second route for the CNF path: satisfiable at the brute-force size,
+    decoded to a circuit of that size, and unsatisfiable one gate below."""
+    cases = [(c.canon, oracle2) for c in classes2 if oracle2[c.canon.bits].size]
+    # The n=3 classes of size 1..3; 0x1e at size 4 alone takes ~10 s in DPLL.
+    for h in ("0x01", "0x03", "0x07", "0x1b", "0x3c"):
+        cases.append((parse_hex(h, 3), oracle3))
+    for tt, oracle in cases:
+        size = oracle[tt.bits].size
+        sat, model = dpll_satisfiable(encode_cnf(tt, size))
+        assert sat, tt.hex()
+        circuit = decode_model(model_text(model), size, tt.n)
+        assert circuit.size() == size, tt.hex()
+        assert circuit.evaluate() == tt, tt.hex()
+        if size > 1:
+            sat, _ = dpll_satisfiable(encode_cnf(tt, size - 1))
+            assert not sat, tt.hex()
 
 
 def test_cnf_header_documents_layout():
