@@ -1,9 +1,10 @@
 """NPN equivalence: input negation, input permutation, output negation.
 
 The canonical representative of a class is the lexicographically smallest
-bit pattern over the full orbit of 2 * 2^n * n! transforms.  Enumeration
-walks all 2^(2^n) functions in ascending pattern order and marks whole
-orbits, so the first unmarked function met is automatically canonical.
+bit pattern over the full orbit of 2 * 2^n * n! transforms, which ``orbit``
+lists with the transform reaching each pattern.  Enumeration walks all
+2^(2^n) functions in ascending pattern order and marks whole orbits, so the
+first unmarked function met is automatically canonical.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .aig import AigCircuit, AndGate, Literal
-from .truthtable import TruthTable
+from .truthtable import TruthTable, var_table
 
 MAX_CLASS_VARS = 4
 
@@ -103,39 +104,68 @@ def transform_circuit(c: AigCircuit, t: NpnTransform) -> AigCircuit:
     return AigCircuit(c.n, gates, ~output if t.output_neg else output)
 
 
-@lru_cache(maxsize=8)
-def _all_row_maps(n: int) -> tuple[tuple[NpnTransform, tuple[int, ...]], ...]:
-    """Every (perm, input negation) transform with its precomputed row map."""
-    out = []
+def _orbit_walk(n: int, bits: int):
+    """Yield ``(perm, tables, negs)`` once per input permutation, identity first.
+
+    ``tables[i]`` is ``bits`` under ``NpnTransform(perm, negs[i], False)``,
+    and ``tables[0]`` has no input negated.  Each input swap or negation
+    exchanges blocks of rows with a mask and a shift, not row by row.
+    """
+    var = [var_table(n, i).bits for i in range(n)]
     for perm in itertools.permutations(range(n)):
-        for neg in range(1 << n):
-            t = NpnTransform(perm, neg, False)
-            out.append((t, t.row_map()))
-    return tuple(out)
+        # Swap positions until input i sits at perm[i]; at[p] is the input
+        # now at position p.
+        moved = bits
+        at = list(range(n))
+        for i in range(n):
+            a, b = at.index(i), perm[i]
+            if a != b:
+                lo, hi = min(a, b), max(a, b)
+                shift = (1 << hi) - (1 << lo)
+                low = var[lo] & ~var[hi]  # rows with x_lo = 1, x_hi = 0
+                moved = (
+                    (moved & ~(low | (low << shift)))
+                    | ((moved & low) << shift)
+                    | ((moved >> shift) & low)
+                )
+                at[a], at[b] = at[b], at[a]
+        tables = [moved]
+        negs = [0]
+        for p in range(n):
+            step, ones = 1 << p, var[p]  # rows with x_p = 1
+            tables += [((t & ones) >> step) | ((t << step) & ones) for t in tables]
+            negs += [neg ^ (1 << at[p]) for neg in negs]
+        yield perm, tables, negs
 
 
-def _orbit_patterns(bits: int, n: int):
-    """Yield (pattern, transform, output_neg) over the whole NPN orbit."""
-    mask = (1 << (1 << n)) - 1
-    rows = 1 << n
-    for t, rm in _all_row_maps(n):
-        mapped = 0
-        for b in range(rows):
-            mapped |= ((bits >> rm[b]) & 1) << b
-        yield mapped, t, False
-        yield mapped ^ mask, t, True
+@lru_cache(maxsize=1024)
+def _transform(perm: tuple[int, ...], neg: int, output_neg: bool) -> NpnTransform:
+    """One shared, immutable ``NpnTransform``; the 874 transforms of n <= 4 all
+    fit, and reusing one costs a fraction of validating a new one."""
+    return NpnTransform(perm, neg, output_neg)
+
+
+def orbit(tt: TruthTable) -> dict[int, NpnTransform]:
+    """Every pattern in the NPN orbit of ``tt``, each mapped to a transform
+    ``t`` with ``apply_transform(tt, t).bits == pattern``.
+
+    The first transform met is kept, and ``tt`` itself maps to the identity.
+    """
+    out: dict[int, NpnTransform] = {}
+    for perm, tables, negs in _orbit_walk(tt.n, tt.bits):
+        for output_neg, flip in ((False, 0), (True, tt.mask)):
+            for pattern, neg in zip(tables, negs):
+                pattern ^= flip
+                if pattern not in out:
+                    out[pattern] = _transform(perm, neg, output_neg)
+    return out
 
 
 def canonicalize(tt: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """Minimum bit pattern over the orbit, plus a transform reaching it."""
-    best = None
-    best_t = None
-    for pattern, t, out_neg in _orbit_patterns(tt.bits, tt.n):
-        if best is None or pattern < best:
-            best = pattern
-            best_t = NpnTransform(t.perm, t.input_neg, out_neg)
-    assert best is not None and best_t is not None
-    return TruthTable(tt.n, best), best_t
+    patterns = orbit(tt)
+    best = min(patterns)
+    return TruthTable(tt.n, best), patterns[best]
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,21 +214,17 @@ def enumerate_classes(n: int) -> NpnClassTable:
         )
     rows = 1 << n
     mask = (1 << rows) - 1
-    row_maps = [rm for _, rm in _all_row_maps(n)]
     function_class = [-1] * (1 << rows)
     classes: list[NpnClass] = []
     for bits in range(1 << rows):
         if function_class[bits] >= 0:
             continue
-        orbit = set()
-        for rm in row_maps:
-            mapped = 0
-            for b in range(rows):
-                mapped |= ((bits >> rm[b]) & 1) << b
-            orbit.add(mapped)
-            orbit.add(mapped ^ mask)
+        members = set()
+        for _, tables, _ in _orbit_walk(n, bits):
+            members.update(tables)
+            members.update(t ^ mask for t in tables)
         index = len(classes)
-        for member in orbit:
+        for member in members:
             function_class[member] = index
-        classes.append(NpnClass(TruthTable(n, bits), index, len(orbit)))
+        classes.append(NpnClass(TruthTable(n, bits), index, len(members)))
     return NpnClassTable(classes, function_class)

@@ -2,19 +2,26 @@
 
 Three routes live here:
 
-* ``exists_circuit`` / ``opt_size`` — per-function iterative-deepening search
-  over a canonical, symmetry-broken circuit space.  This is the one engine
-  that answers size queries, the ``oracle`` command's included;
-  ``SynthesisConfig`` sets only its gate cap and per-query time budget.
+* ``exists_circuit`` / ``opt_size`` — iterative-deepening search over a
+  canonical, symmetry-broken circuit space for any function in the target's
+  NPN orbit.  This is the one engine that answers size queries, the
+  ``oracle`` command's included; ``SynthesisConfig`` sets only its gate cap
+  and per-query time budget.
 * ``brute_oracle`` — an independent breadth-first sweep over reachable
   function sets for n <= 3, covering every function at once.  It returns
-  sizes only, shares no search code with the per-function route and is the
+  sizes only, shares no search code with the orbit search and is the
   reference the tests check that route against.
 * ``encode_cnf`` / ``decode_model`` — a DIMACS export/import path so an
   external SAT solver can answer the same per-(function, k) question.  One
   numbering function, ``_cnf_layout``, is shared by the encoder and the
   decoder, and the decoder builds its circuit with the search's
   ``_chain_to_circuit``.  No solver is embedded.
+
+The target is the orbit.  Input negation, input permutation and output
+negation never change a circuit's gate count, so a k-gate circuit for any
+member of the target's NPN orbit (``npn.orbit``) answers the query: the search
+accepts a last gate whose value lies in the orbit, then maps the witness back
+to the target with ``npn.transform_circuit`` and the inverse transform.
 
 Enumeration canonical form: gates occupy nodes n+1..n+k in creation order,
 fanin pairs are sorted, the last gate is the output root, and a gate that
@@ -25,6 +32,21 @@ ready gate first), so exhausting the canonical space is exhaustive up to
 isomorphism.  A gate's choices depend only on n, its largest fanin node m and
 the previous gate's signature, so ``_gate_choices`` caches them per (n, m) as
 pre-merged lists ``after[cut]``, one per rank of that signature.
+
+Because any orbit member is a hit, an input transform may be applied to a
+witness before it is put in that order, and two symmetry cuts follow.  Both
+lists are built on first use and cached per n.
+
+* Gate 1 is x0 AND x1.  The first gate placed reads two inputs; an input
+  transform turns it into x0 AND x1, which has the smallest signature of all
+  pairs, so the greedy order places it first.
+* Gate 2 is minimal in its orbit.  Let H be the 2 * (n-2)! * 2^(n-2) input
+  transforms that fix x0 AND x1 (swap x0 and x1 or not, permute and negate
+  the other inputs).  Apply the element of H that makes the smallest
+  signature among the gates ready after gate 1 as small as possible; the
+  greedy order places that gate second, and no element of H gives it a
+  smaller signature.  So gate 2 only takes pairs whose signature is the
+  smallest in their H-orbit: 12 of the 40 pairs at n = 4.
 
 The search always applies five reductions.  Each keeps some minimum-size
 witness, because a circuit that breaks one of the first four can be made
@@ -41,26 +63,30 @@ smaller and the fifth only skips states already explored:
   (complemented) edge to that node;
 * failed-state memo — the rest of the search depends only on the gate
   values so far, the last signature and the set of unread gates, so a state
-  once proven dead is skipped when another prefix reaches it again.
+  once proven dead is skipped when another prefix reaches it again.  States
+  at the second-to-last gate are not stored: each is decided by one
+  closed-form last-gate step, and they would be most of the memo.
 
-The last gate is decided without walking its list.  It must compute the
-target up to complement, which no earlier node may already compute, and it
-must read every unread gate.  Beyond k = 1 the gate just placed is always
-unread, and the slack prune leaves at most one other unread gate, so only
-the pairs that read the newest gate (and that other gate, if any) can close
-the circuit; ``closers`` lists them.  ``nodes_visited`` still counts what a
-walk of the whole list would: every pair up to the first that closes, which
-is the witness such a walk returns, or the whole list when none does.  The
-node counts therefore stay the regression gates they were.
+The last gate is decided without walking its list.  It must compute an orbit
+member, and no earlier node may already compute one up to complement (that
+node would be a smaller witness).  It must also read every unread gate.
+Beyond k = 1 the gate just placed is always unread, and the slack prune
+leaves at most one other unread gate, so only the pairs that read the newest
+gate (and that other gate, if any) can close the circuit; ``closers`` lists
+them.  ``nodes_visited`` still counts what a walk of the whole list would:
+every pair up to the first that closes, which is the witness such a walk
+returns, or the whole list when none does.  The node counts therefore stay
+regression gates.
 
-The CNF encoding carries the first four.  Because the reductions forbid
-redundant gates, ``exists_circuit(tt, k)`` may report k infeasible for k above
-the optimum (a constant has no witness at any k >= 1); only the upward
-iteration of ``opt_size`` yields sizes.
+The CNF encoding carries the first four reductions, and neither symmetry cut.
+Because the reductions forbid redundant gates, ``exists_circuit(tt, k)`` may
+report k infeasible for k above the optimum (a constant has no witness at
+any k >= 1); only the upward iteration of ``opt_size`` yields sizes.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -68,6 +94,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .aig import AigCircuit, AndGate, Literal
+from .npn import orbit, transform_circuit
 from .truthtable import TruthTable, var_table
 
 
@@ -176,8 +203,17 @@ def _gate_choices(n: int, m: int):
     signature-sorted.  For each gate node a < m, ``closers[1 << a]`` holds the
     pairs (a, m); ``closers[0]`` holds every pair that reads m.  Both are
     signature-sorted and key on the unread gates other than m.
+
+    Gates 1 and 2 (m = n and m = n + 1) take the symmetry-cut lists instead,
+    with no signatures, so every rank reads ``after[0]``.
     """
     mask = (1 << (1 << n)) - 1
+    if m == n:
+        first = [(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0)] if n > 1 else []
+        return [], [first], {}
+    if m == n + 1:
+        second = _orbit_minimal_pairs(n, _candidate_pairs(m, mask))
+        return [], [second], {0: [c for c in second if c[3] == m]}
     older = _candidate_pairs(m - 1, mask)
     fresh = [c for c in _candidate_pairs(m, mask) if c[3] == m]
     sigs = [c[0] for c in older]
@@ -186,6 +222,30 @@ def _gate_choices(n: int, m: int):
     for a in range(n + 1, m):
         closers[1 << a] = [c for c in fresh if c[1] == a]
     return sigs, after, closers
+
+
+def _orbit_minimal_pairs(n: int, pairs):
+    """The pairs over nodes 1..n+1 whose signature is the smallest in their
+    orbit under the input transforms that fix gate 1, x0 AND x1."""
+    maps = []
+    for first in ((1, 2), (2, 1)):
+        for rest in itertools.permutations(range(3, n + 1)):
+            node = (0, *first, *rest, n + 1)
+            for neg in range(1 << (n - 2)):
+                maps.append((node, neg << 3))  # bit j negates input node j
+
+    def image_sig(node, neg, j0, c0, j1, c1):
+        a = (node[j0], c0 ^ ((neg >> j0) & 1))
+        b = (node[j1], c1 ^ ((neg >> j1) & 1))
+        return _pack_sig(*min(a, b), *max(a, b))
+
+    keep = []
+    for cand in pairs:
+        sig, j0, x0, j1, x1 = cand
+        c0, c1 = int(x0 != 0), int(x1 != 0)
+        if all(sig <= image_sig(node, neg, j0, c0, j1, c1) for node, neg in maps):
+            keep.append(cand)
+    return keep
 
 
 def _trivial_witness(tt: TruthTable) -> AigCircuit | None:
@@ -206,22 +266,38 @@ def _trivial_witness(tt: TruthTable) -> AigCircuit | None:
 _MEMO_CAP = 1 << 20
 
 
+@lru_cache(maxsize=2)
+def _target_orbit(n: int, bits: int):
+    """``(orbit, orbit_n)``: ``npn.orbit`` of the target and its patterns
+    normalized up to complement.  ``opt_size`` asks at every k, so the last
+    two targets are kept."""
+    patterns = orbit(TruthTable(n, bits))
+    mask = (1 << (1 << n)) - 1
+    return patterns, frozenset(min(p, p ^ mask) for p in patterns)
+
+
 def exists_circuit(
     tt: TruthTable, k: int, cfg: SynthesisConfig = DEFAULT_CONFIG
 ) -> ExistsOutcome:
-    """Search for a k-gate AIG computing ``tt`` in the canonical space."""
+    """Search for a k-gate AIG computing ``tt``.
+
+    The canonical space is searched for a circuit computing any member of
+    ``tt``'s NPN orbit; a witness is mapped back to ``tt`` before it is
+    returned.
+    """
     if k < 0:
         raise ValueError("gate count must be >= 0")
-    start = time.monotonic()
     if k == 0:
+        start = time.monotonic()
         witness = _trivial_witness(tt)
         return ExistsOutcome(witness, witness is None, 0, time.monotonic() - start)
 
     n = tt.n
     mask = tt.mask
-    target = tt.bits
-    target_c = target ^ mask
-    target_n = min(target, target_c)
+    # The orbit is built before the clock starts: the budget bounds the
+    # search, not this fixed set-up (~60 ms at n = 6) that every k shares.
+    targets, targets_n = _target_orbit(n, tt.bits)
+    start = time.monotonic()
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
 
     values = [0] * (n + 1 + k)
@@ -240,14 +316,14 @@ def exists_circuit(
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
 
-        # The first gate has prev_sig = -1, which keeps every pair.
+        # The first two gates ignore prev_sig: their lists have one rank.
         sigs, after, closers = _gate_choices(n, node - 1)
         pairs = after[bisect_left(sigs, prev_sig)]
 
         if node == n + k:
             # Every pair is counted as visited up to the first that closes
             # the circuit, or all of them when none does.
-            if target_n not in seen:
+            if seen.isdisjoint(targets_n):
                 # Beyond k = 1 the gate just placed is unread, so only pairs
                 # that read it can close; the slack prune left at most one
                 # other unread gate, which the pair must read too.
@@ -255,16 +331,16 @@ def exists_circuit(
                 for cand in scan:
                     _, j0, x0, j1, x1 = cand
                     v = (values[j0] ^ x0) & (values[j1] ^ x1)
-                    if v == target or v == target_c:
+                    if v in targets:
                         nodes_visited += pairs.index(cand) + 1
-                        return _chain_to_circuit(
-                            n, chain + [cand], complement=(v == target_c)
-                        )
+                        found = _chain_to_circuit(n, chain + [cand], complement=False)
+                        return transform_circuit(found, targets[v].inverse())
             nodes_visited += len(pairs)
             return None
 
         slack = 2 * (n + k - node)
-        prefix = tuple(values[n + 1 : node])
+        memoise = node < n + k - 1
+        prefix = tuple(values[n + 1 : node]) if memoise else None
         for cand in pairs:
             sig, j0, x0, j1, x1 = cand
             nodes_visited += 1
@@ -277,9 +353,10 @@ def exists_circuit(
             if new_no_fanout.bit_count() > slack:
                 continue
 
-            key = (prefix, v, sig, new_no_fanout)
-            if key in memo:
-                continue
+            if memoise:
+                key = (prefix, v, sig, new_no_fanout)
+                if key in memo:
+                    continue
 
             values[node] = v
             seen.add(vn)
@@ -292,9 +369,10 @@ def exists_circuit(
 
             if found is not None:
                 return found
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo.add(key)
+            if memoise:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                memo.add(key)
         return None
 
     try:

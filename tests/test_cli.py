@@ -422,10 +422,10 @@ def test_campaign_rejects_jobs_below_one(capsys, tmp_path):
     ],
 )
 def test_class_enumeration_rejects_n_above_four(capsys, tmp_path, monkeypatch, argv):
-    def orbit_scan_reached(n):
+    def orbit_scan_reached(n, bits):
         raise AssertionError(f"enumerate_classes({n}) started its orbit scan")
 
-    monkeypatch.setattr("aigopt.npn._all_row_maps", orbit_scan_reached)
+    monkeypatch.setattr("aigopt.npn._orbit_walk", orbit_scan_reached)
     if argv[-1] == "--store":
         store = tmp_path / "s.jsonl"
         store.write_text(HEADER + "\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from aigopt.npn import (
     apply_transform,
     canonicalize,
     enumerate_classes,
+    orbit,
     transform_circuit,
 )
 from aigopt.truthtable import Assignment, TruthTable, parse_hex
@@ -129,13 +131,29 @@ def test_canonicalize_idempotent_and_constant_on_orbits():
 
 def test_canonical_is_orbit_minimum_by_full_scan():
     rng = random.Random(29)
-    from aigopt.npn import _orbit_patterns
-
+    every_transform = [
+        NpnTransform(perm, neg, out)
+        for perm in itertools.permutations(range(3))
+        for neg in range(8)
+        for out in (False, True)
+    ]
     for _ in range(10):
         tt = TruthTable(3, rng.randrange(1 << 8))
         canon, _ = canonicalize(tt)
-        orbit_min = min(p for p, _, _ in _orbit_patterns(tt.bits, 3))
+        orbit_min = min(brute_apply(tt, t).bits for t in every_transform)
         assert canon.bits == orbit_min
+
+
+@given(st.data())
+def test_orbit_maps_each_pattern_by_its_transform(classes2, classes3, classes4, data):
+    n = data.draw(st.integers(1, 4))
+    tt = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    table = {1: enumerate_classes(1), 2: classes2, 3: classes3, 4: classes4}[n]
+    patterns = orbit(tt)
+    assert patterns[tt.bits] == NpnTransform.identity(n)
+    for pattern, t in patterns.items():
+        assert apply_transform(tt, t).bits == pattern
+    assert len(patterns) == table[table.classify(tt)].orbit_size
 
 
 def test_class_counts_small(classes2, classes3):
@@ -145,10 +163,10 @@ def test_class_counts_small(classes2, classes3):
 
 
 def test_enumerate_classes_rejects_n_above_four_before_allocating(monkeypatch):
-    def orbit_scan_reached(n):
+    def orbit_scan_reached(n, bits):
         raise AssertionError(f"enumerate_classes({n}) started its orbit scan")
 
-    monkeypatch.setattr("aigopt.npn._all_row_maps", orbit_scan_reached)
+    monkeypatch.setattr("aigopt.npn._orbit_walk", orbit_scan_reached)
     for n in (0, 5, 6):
         with pytest.raises(ValueError, match="1..4"):
             enumerate_classes(n)

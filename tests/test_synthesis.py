@@ -8,6 +8,9 @@ from aigopt.synthesis import (
     SearchInconclusiveError,
     Status,
     SynthesisConfig,
+    _candidate_pairs,
+    _gate_choices,
+    _pack_sig,
     brute_oracle,
     decode_model,
     encode_cnf,
@@ -59,13 +62,20 @@ def test_budget_stop_is_not_infeasibility():
     assert outcome.budget_exhausted
 
     # The deadline is checked once per gate placed, not per candidate; the
-    # full proof visits 13,312,466 nodes.
+    # full proof visits 7,370,554 nodes.
     outcome = exists_circuit(
-        parse_hex("0x0169", 4), 5, SynthesisConfig(time_budget=0.05)
+        parse_hex("0x0169", 4), 6, SynthesisConfig(time_budget=0.05)
     )
     assert outcome.budget_exhausted
-    assert outcome.nodes_visited < 13_312_466
+    assert outcome.nodes_visited < 7_370_554
     assert outcome.elapsed < 1.0
+
+
+def test_budget_bounds_the_search_not_the_orbit_build():
+    # x0 AND x1 AND x2 at n=6: its orbit takes longer to build than the
+    # budget, while the k=1 and k=2 searches take well under a millisecond.
+    result = opt_size(parse_hex("0x8080808080808080", 6), SynthesisConfig(time_budget=0.02))
+    assert (result.size, result.status) == (2, Status.EXACT)
 
 
 def test_opt_size_minterm_of_four_is_three_exact():
@@ -169,6 +179,71 @@ def test_opt_size_agrees_with_oracle_n2(oracle2):
         assert result.witness.evaluate().bits == bits
 
 
+def test_opt_size_agrees_with_oracle_n3(oracle3):
+    """Two routes at n=3: every function's orbit search against brute_oracle."""
+    for bits in range(256):
+        result = opt_size(TruthTable(3, bits))
+        assert result.status is Status.EXACT
+        assert result.size == oracle3[bits].size, hex(bits)
+        assert result.witness.size() == result.size
+        assert result.witness.evaluate().bits == bits
+
+
+# Sizes of the 21 n=4 classes of size <= 4 and the 24 of size 5, as the
+# per-function search (no orbit target, no symmetry cut) found them.
+N4_SIZES_UP_TO_4 = {
+    "0x0000": 0, "0x0001": 3, "0x0003": 2, "0x0007": 3, "0x000f": 1,
+    "0x001b": 4, "0x001f": 3, "0x003c": 4, "0x003f": 2, "0x007f": 3,
+    "0x00ff": 0, "0x01ab": 4, "0x01af": 4, "0x01ef": 4, "0x033f": 4,
+    "0x0357": 3, "0x035f": 4, "0x03c3": 4, "0x03cf": 3, "0x03fc": 4,
+    "0x0ff0": 3,
+}
+N4_SIZE_5 = (
+    "0x0006", "0x0017", "0x0019", "0x001e", "0x003d", "0x006f", "0x011f",
+    "0x012f", "0x013f", "0x0189", "0x018b", "0x018f", "0x01a9", "0x01aa",
+    "0x01ee", "0x01fe", "0x0356", "0x03c0", "0x03c7", "0x03d7", "0x03dd",
+    "0x0666", "0x07f0", "0x07f8",
+)
+
+
+def check_exact(tt: TruthTable, size: int, cap: int) -> None:
+    result = opt_size(tt, SynthesisConfig(max_gates=cap))
+    assert (result.size, result.status) == (size, Status.EXACT), tt.hex()
+    assert result.exhausted_below == (size - 1 if size else -1), tt.hex()
+    assert result.witness.size() == size, tt.hex()
+    assert result.witness.evaluate() == tt, tt.hex()
+
+
+def test_opt_size_n4_classes_at_cap_four(classes4):
+    exact = 0
+    for c in classes4:
+        size = N4_SIZES_UP_TO_4.get(c.canon.hex())
+        if size is None:
+            with pytest.raises(SearchInconclusiveError) as exc:
+                opt_size(c.canon, SynthesisConfig(max_gates=4))
+            assert exc.value.exhausted_below == 4, c.canon.hex()
+        else:
+            check_exact(c.canon, size, cap=4)
+            exact += 1
+    assert exact == 21
+
+
+def test_opt_size_size_five_orbit_members():
+    rng = random.Random(61)
+    for canon in N4_SIZE_5:
+        member = apply_transform(parse_hex(canon, 4), random_transform(rng, 4))
+        check_exact(member, 5, cap=5)
+
+
+def test_symmetry_cut_lists_n4():
+    """Gate 1 is x0 AND x1 alone; gate 2 keeps the 12 orbit-minimal pairs of
+    the 40 over x0..x3 and gate 1."""
+    assert _gate_choices(4, 4)[1] == [[(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0)]]
+    second = _gate_choices(4, 5)[1][0]
+    assert len(_candidate_pairs(5, 0xFFFF)) == 40
+    assert len(second) == 12
+
+
 def test_opt_size_npn_invariant(oracle3):
     rng = random.Random(53)
     for _ in range(10):
@@ -183,8 +258,9 @@ def test_search_node_counts_are_pinned():
     """Exhaustive infeasibility proofs visit a fixed number of nodes; any
     change means the search space or its reductions changed."""
     pins = {
-        parse_hex("0x0169", 4): (24, 708, 19_564, 488_672),
-        parse_hex("0x69", 3): (12, 234, 3_906, 59_862, 998_429),
+        # Gate 1 is always x0 AND x1, so k = 1 visits one node.
+        parse_hex("0x0169", 4): (1, 13, 375, 8_117),
+        parse_hex("0x69", 3): (1, 12, 228, 3_175, 57_812),
         TruthTable(1, 0b10): (0,),  # n = 1 has no fanin pair at all
     }
     for tt, counts in pins.items():
@@ -195,30 +271,33 @@ def test_search_node_counts_are_pinned():
 
 
 def test_deterministic_witness():
-    """The first witness found depends on the candidate order, unlike an
-    infeasibility proof; these pins fix that order."""
+    """The first witness found depends on the candidate order and on the
+    orbit transform that maps it back, unlike an infeasibility proof; these
+    pins fix both.  ``None`` pins a proof instead."""
     pins = {
         ("0x0006", 5): (
-            221_607,
+            100_288,
             "aag 9 4 0 1 5\n2\n4\n6\n8\n18\n"
             "10 2 4\n12 3 5\n14 7 9\n16 11 13\n18 14 16\n",
         ),
         ("0x0001", 3): (
-            9_122,
+            311,
             "aag 7 4 0 1 3\n2\n4\n6\n8\n14\n10 3 5\n12 7 9\n14 10 12\n",
         ),
         ("0x8888", 1): (1, "aag 5 4 0 1 1\n2\n4\n6\n8\n10\n10 2 4\n"),
-        # The first gate already computes the target, so one last-gate list
-        # is counted whole before the witness closes with one unread gate.
-        ("0x8888", 2): (
-            49,
-            "aag 6 4 0 1 2\n2\n4\n6\n8\n12\n10 2 5\n12 2 11\n",
-        ),
+        # Found as x0 AND x1 AND x2, then moved by the orbit transform.
+        ("0x4040", 2): (12, "aag 6 4 0 1 2\n2\n4\n6\n8\n12\n10 3 4\n12 6 10\n"),
+        # Gate 1, x0 AND x1, already computes the target: a 1-gate witness,
+        # so no 2-gate circuit may close.
+        ("0x8888", 2): (13, None),
     }
     for (tt_hex, k), (nodes, aag) in pins.items():
         outcome = exists_circuit(parse_hex(tt_hex, 4), k)
         assert outcome.nodes_visited == nodes, tt_hex
-        assert to_aiger(outcome.witness) == aag, tt_hex
+        if aag is None:
+            assert outcome.proven_infeasible, tt_hex
+        else:
+            assert to_aiger(outcome.witness) == aag, tt_hex
 
 
 # ---------------------------------------------------------------------------
