@@ -1,10 +1,15 @@
 """NPN equivalence: input negation, input permutation, output negation.
 
 The canonical representative of a class is the lexicographically smallest
-bit pattern over the full orbit of 2 * 2^n * n! transforms, which ``orbit``
-lists with the transform reaching each pattern.  Enumeration walks all
-2^(2^n) functions in ascending pattern order and marks whole orbits, so the
-first unmarked function met is automatically canonical.
+bit pattern over the full orbit of 2 * 2^n * n! transforms.  One walk meets
+them all in a fixed order, so a walk position names a transform
+(``walk_transform``).  ``orbit_positions`` maps each pattern to the first
+position that meets it and ``orbit`` to that position's transform.  Both
+``canonicalize`` and ``orbit_positions`` do the same work for every function
+of n inputs, whatever its orbit size; ``orbit`` builds one transform per
+pattern.  Enumeration walks all 2^(2^n) functions in ascending pattern order
+and marks whole orbits, so the first unmarked function met is automatically
+canonical.
 """
 
 from __future__ import annotations
@@ -104,15 +109,21 @@ def transform_circuit(c: AigCircuit, t: NpnTransform) -> AigCircuit:
     return AigCircuit(c.n, gates, ~output if t.output_neg else output)
 
 
-def _orbit_walk(n: int, bits: int):
-    """Yield ``(perm, tables, negs)`` once per input permutation, identity first.
+@lru_cache(maxsize=None)
+def _perms(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.permutations(range(n)))
 
-    ``tables[i]`` is ``bits`` under ``NpnTransform(perm, negs[i], False)``,
-    and ``tables[0]`` has no input negated.  Each input swap or negation
-    exchanges blocks of rows with a mask and a shift, not row by row.
+
+def _orbit_walk(n: int, bits: int):
+    """Yield ``tables`` once per input permutation of ``_perms(n)``.
+
+    ``tables[pos]`` is ``bits`` with the inputs permuted and then, for each
+    set bit p of ``pos``, the input at position p negated; ``tables[0]`` is
+    the identity's.  Each input swap or negation exchanges blocks of rows
+    with a mask and a shift, not row by row.
     """
     var = [var_table(n, i).bits for i in range(n)]
-    for perm in itertools.permutations(range(n)):
+    for perm in _perms(n):
         # Swap positions until input i sits at perm[i]; at[p] is the input
         # now at position p.
         moved = bits
@@ -130,19 +141,42 @@ def _orbit_walk(n: int, bits: int):
                 )
                 at[a], at[b] = at[b], at[a]
         tables = [moved]
-        negs = [0]
         for p in range(n):
             step, ones = 1 << p, var[p]  # rows with x_p = 1
             tables += [((t & ones) >> step) | ((t << step) & ones) for t in tables]
-            negs += [neg ^ (1 << at[p]) for neg in negs]
-        yield perm, tables, negs
+        yield tables
 
 
-@lru_cache(maxsize=1024)
-def _transform(perm: tuple[int, ...], neg: int, output_neg: bool) -> NpnTransform:
-    """One shared, immutable ``NpnTransform``; the 874 transforms of n <= 4 all
-    fit, and reusing one costs a fraction of validating a new one."""
-    return NpnTransform(perm, neg, output_neg)
+def _walk_patterns(tt: TruthTable) -> list[int]:
+    """Every table the orbit walk meets, repeats included, in walk order:
+    per permutation its 2^n input negations, then their complements."""
+    out: list[int] = []
+    for tables in _orbit_walk(tt.n, tt.bits):
+        out += tables
+        out += [t ^ tt.mask for t in tables]
+    return out
+
+
+def walk_transform(n: int, position: int) -> NpnTransform:
+    """The transform that makes the table at ``position`` of the orbit walk."""
+    block, pos = divmod(position, 1 << n)
+    perm = _perms(n)[block >> 1]
+    # Position p holds input perm.index(p) once the inputs are permuted.
+    neg = sum(1 << perm.index(p) for p in range(n) if (pos >> p) & 1)
+    return NpnTransform(perm, neg, bool(block & 1))
+
+
+def orbit_positions(tt: TruthTable) -> dict[int, int]:
+    """Every pattern in the NPN orbit of ``tt``, each mapped to the first
+    walk position that meets it; ``walk_transform`` turns that into a
+    transform.
+
+    The dict is built in one pass over all 2 * n! * 2^n walk tables, so its
+    cost does not depend on how many of them are distinct.
+    """
+    patterns = _walk_patterns(tt)
+    # Later pairs overwrite earlier ones, so walking backwards keeps the first.
+    return dict(zip(reversed(patterns), range(len(patterns) - 1, -1, -1)))
 
 
 def orbit(tt: TruthTable) -> dict[int, NpnTransform]:
@@ -151,21 +185,14 @@ def orbit(tt: TruthTable) -> dict[int, NpnTransform]:
 
     The first transform met is kept, and ``tt`` itself maps to the identity.
     """
-    out: dict[int, NpnTransform] = {}
-    for perm, tables, negs in _orbit_walk(tt.n, tt.bits):
-        for output_neg, flip in ((False, 0), (True, tt.mask)):
-            for pattern, neg in zip(tables, negs):
-                pattern ^= flip
-                if pattern not in out:
-                    out[pattern] = _transform(perm, neg, output_neg)
-    return out
+    return {p: walk_transform(tt.n, i) for p, i in orbit_positions(tt).items()}
 
 
 def canonicalize(tt: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """Minimum bit pattern over the orbit, plus a transform reaching it."""
-    patterns = orbit(tt)
+    patterns = _walk_patterns(tt)
     best = min(patterns)
-    return TruthTable(tt.n, best), patterns[best]
+    return TruthTable(tt.n, best), walk_transform(tt.n, patterns.index(best))
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,7 +247,7 @@ def enumerate_classes(n: int) -> NpnClassTable:
         if function_class[bits] >= 0:
             continue
         members = set()
-        for _, tables, _ in _orbit_walk(n, bits):
+        for tables in _orbit_walk(n, bits):
             members.update(tables)
             members.update(t ^ mask for t in tables)
         index = len(classes)

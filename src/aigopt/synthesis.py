@@ -19,9 +19,10 @@ Three routes live here:
 
 The target is the orbit.  Input negation, input permutation and output
 negation never change a circuit's gate count, so a k-gate circuit for any
-member of the target's NPN orbit (``npn.orbit``) answers the query: the search
-accepts a last gate whose value lies in the orbit, then maps the witness back
-to the target with ``npn.transform_circuit`` and the inverse transform.
+member of the target's NPN orbit (``npn.orbit_positions``) answers the
+query: the search accepts a last gate whose value lies in the orbit, then maps
+the witness back to the target with ``npn.transform_circuit`` and the inverse
+of that member's transform (``npn.walk_transform``).
 
 Enumeration canonical form: gates occupy nodes n+1..n+k in creation order,
 fanin pairs are sorted, the last gate is the output root, and a gate that
@@ -94,7 +95,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .aig import AigCircuit, AndGate, Literal
-from .npn import orbit, transform_circuit
+from .npn import orbit_positions, transform_circuit, walk_transform
 from .truthtable import TruthTable, var_table
 
 
@@ -268,12 +269,12 @@ _MEMO_CAP = 1 << 20
 
 @lru_cache(maxsize=2)
 def _target_orbit(n: int, bits: int):
-    """``(orbit, orbit_n)``: ``npn.orbit`` of the target and its patterns
-    normalized up to complement.  ``opt_size`` asks at every k, so the last
-    two targets are kept."""
-    patterns = orbit(TruthTable(n, bits))
-    mask = (1 << (1 << n)) - 1
-    return patterns, frozenset(min(p, p ^ mask) for p in patterns)
+    """``(positions, patterns)``: ``npn.orbit_positions`` of the target and
+    its keys as a frozenset.  The orbit is closed under complement, so the
+    set also holds every pattern normalized up to complement.  ``opt_size``
+    asks at every k, so the last two targets are kept."""
+    positions = orbit_positions(TruthTable(n, bits))
+    return positions, frozenset(positions)
 
 
 def exists_circuit(
@@ -334,7 +335,7 @@ def exists_circuit(
                     if v in targets:
                         nodes_visited += pairs.index(cand) + 1
                         found = _chain_to_circuit(n, chain + [cand], complement=False)
-                        return transform_circuit(found, targets[v].inverse())
+                        return transform_circuit(found, walk_transform(n, targets[v]).inverse())
             nodes_visited += len(pairs)
             return None
 

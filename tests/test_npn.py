@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from aigopt.npn import (
     canonicalize,
     enumerate_classes,
     orbit,
+    orbit_positions,
     transform_circuit,
+    walk_transform,
 )
 from aigopt.truthtable import Assignment, TruthTable, parse_hex
 
@@ -154,6 +157,16 @@ def test_orbit_maps_each_pattern_by_its_transform(classes2, classes3, classes4, 
     for pattern, t in patterns.items():
         assert apply_transform(tt, t).bits == pattern
     assert len(patterns) == table[table.classify(tt)].orbit_size
+
+
+def test_walk_positions_name_every_transform_once():
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4):
+        count = (2 * math.factorial(n)) << n
+        assert len({walk_transform(n, i) for i in range(count)}) == count
+        tt = TruthTable(n, rng.randrange(1 << (1 << n)))
+        for pattern, position in orbit_positions(tt).items():
+            assert brute_apply(tt, walk_transform(n, position)).bits == pattern
 
 
 def test_class_counts_small(classes2, classes3):
