@@ -6,7 +6,7 @@ summaries go to stderr, where ``graph`` also prints its |delta| histogram.
 searches one function, ``campaign`` every NPN class of n (appending each record
 as its class finishes) and ``cnf-export`` writes DIMACS queries.  ``oracle``
 runs ``opt_size`` once per NPN class of n <= 3 and stores every function with
-its class's witness moved by ``npn.transform_circuit``.  Commands that
+its class's witness moved to it by ``npn.retarget``.  Commands that
 enumerate NPN classes (``classify``, ``graph``, ``verify``, ``campaign``)
 accept n <= 4 only.  Exit codes: 0 success (or bound holds),
 1 usage error, 2 upper-bound/unknown result, 3 bound violation, 4 incomplete
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .aig import from_aiger, to_aiger
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
-from .npn import NpnClassTable, canonicalize, enumerate_classes, transform_circuit
+from .npn import NpnClassTable, enumerate_classes, retarget
 from .repair import repair_clear, repair_multi, repair_set
 from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
 from .synthesis import (
@@ -419,27 +419,27 @@ def cmd_oracle(args) -> int:
         _human("error: oracle mode requires --store or " + STORE_ENV)
         return EXIT_USAGE
     started = time.monotonic()
-    solved = {c.canon.bits: opt_size(c.canon) for c in enumerate_classes(args.n)}
+    table = enumerate_classes(args.n)
+    solved = [opt_size(c.canon) for c in table]
     elapsed_ms = int((time.monotonic() - started) * 1000)
     stamp = datetime.now(timezone.utc).isoformat()
     functions = 1 << (1 << args.n)
     for bits in range(functions):
         tt = TruthTable(args.n, bits)
-        canon, t = canonicalize(tt)
-        result = solved[canon.bits]
+        result = solved[table.classify(tt)]
         record = ResultRecord(
             tt_hex=tt.hex(),
             n=args.n,
             size=result.size,
             status=result.status.value,
             exhausted_below=result.exhausted_below,
-            witness_aag=to_aiger(transform_circuit(result.witness, t.inverse())),
+            witness_aag=to_aiger(retarget(result.witness, tt)),
             backend="oracle",
             elapsed_ms=elapsed_ms,
             timestamp=stamp,
         )
         append_record(store, record)
-    max_size = max(result.size for result in solved.values())
+    max_size = max(result.size for result in solved)
     _emit(
         {
             "schema": "aigopt.oracle/1",

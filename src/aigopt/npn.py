@@ -3,13 +3,14 @@
 The canonical representative of a class is the lexicographically smallest
 bit pattern over the full orbit of 2 * 2^n * n! transforms.  One walk meets
 them all in a fixed order, so a walk position names a transform
-(``walk_transform``).  ``orbit_positions`` maps each pattern to the first
-position that meets it and ``orbit`` to that position's transform.  Both
-``canonicalize`` and ``orbit_positions`` do the same work for every function
-of n inputs, whatever its orbit size; ``orbit`` builds one transform per
-pattern.  Enumeration walks all 2^(2^n) functions in ascending pattern order
-and marks whole orbits, so the first unmarked function met is automatically
-canonical.
+(``walk_transform``).  ``orbit_positions`` is the one orbit table: it maps
+each pattern to the first position that meets it, does the same work for
+every function of n inputs whatever its orbit size, and keeps the last two
+tables.  ``canonicalize`` takes its minimum, and ``retarget`` moves a circuit
+for any orbit member back to the table the orbit was taken from; the search
+and the ``oracle`` command both map their witnesses with it.  Enumeration
+walks all 2^(2^n) functions in ascending pattern order and marks whole
+orbits, so the first unmarked function met is automatically canonical.
 """
 
 from __future__ import annotations
@@ -114,15 +115,16 @@ def _perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(n)))
 
 
-def _orbit_walk(n: int, bits: int):
-    """Yield ``tables`` once per input permutation of ``_perms(n)``.
-
-    ``tables[pos]`` is ``bits`` with the inputs permuted and then, for each
-    set bit p of ``pos``, the input at position p negated; ``tables[0]`` is
-    the identity's.  Each input swap or negation exchanges blocks of rows
-    with a mask and a shift, not row by row.
+def _walk_patterns(n: int, bits: int) -> list[int]:
+    """Every table the orbit walk of ``bits`` meets, repeats included: per
+    permutation of ``_perms(n)``, 2^n tables with the inputs permuted and then,
+    for each set bit p of the offset, the input at position p negated; then
+    their complements.  Offset 0 of the first block is the identity's.  Each
+    input swap or negation moves blocks of rows with a mask and a shift.
     """
     var = [var_table(n, i).bits for i in range(n)]
+    mask = (1 << (1 << n)) - 1
+    out: list[int] = []
     for perm in _perms(n):
         # Swap positions until input i sits at perm[i]; at[p] is the input
         # now at position p.
@@ -144,16 +146,8 @@ def _orbit_walk(n: int, bits: int):
         for p in range(n):
             step, ones = 1 << p, var[p]  # rows with x_p = 1
             tables += [((t & ones) >> step) | ((t << step) & ones) for t in tables]
-        yield tables
-
-
-def _walk_patterns(tt: TruthTable) -> list[int]:
-    """Every table the orbit walk meets, repeats included, in walk order:
-    per permutation its 2^n input negations, then their complements."""
-    out: list[int] = []
-    for tables in _orbit_walk(tt.n, tt.bits):
         out += tables
-        out += [t ^ tt.mask for t in tables]
+        out += [t ^ mask for t in tables]
     return out
 
 
@@ -166,33 +160,38 @@ def walk_transform(n: int, position: int) -> NpnTransform:
     return NpnTransform(perm, neg, bool(block & 1))
 
 
+@lru_cache(maxsize=2)
 def orbit_positions(tt: TruthTable) -> dict[int, int]:
     """Every pattern in the NPN orbit of ``tt``, each mapped to the first
     walk position that meets it; ``walk_transform`` turns that into a
-    transform.
+    transform, and ``tt`` itself sits at position 0, the identity.
 
     The dict is built in one pass over all 2 * n! * 2^n walk tables, so its
-    cost does not depend on how many of them are distinct.
+    cost does not depend on how many of them are distinct.  A query asks at
+    every gate count, after ``canonicalize`` may have asked, so the last two
+    are kept; callers share the dict and must not change it.
     """
-    patterns = _walk_patterns(tt)
+    patterns = _walk_patterns(tt.n, tt.bits)
     # Later pairs overwrite earlier ones, so walking backwards keeps the first.
     return dict(zip(reversed(patterns), range(len(patterns) - 1, -1, -1)))
 
 
-def orbit(tt: TruthTable) -> dict[int, NpnTransform]:
-    """Every pattern in the NPN orbit of ``tt``, each mapped to a transform
-    ``t`` with ``apply_transform(tt, t).bits == pattern``.
-
-    The first transform met is kept, and ``tt`` itself maps to the identity.
-    """
-    return {p: walk_transform(tt.n, i) for p, i in orbit_positions(tt).items()}
-
-
 def canonicalize(tt: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """Minimum bit pattern over the orbit, plus a transform reaching it."""
-    patterns = _walk_patterns(tt)
-    best = min(patterns)
-    return TruthTable(tt.n, best), walk_transform(tt.n, patterns.index(best))
+    positions = orbit_positions(tt)
+    best = min(positions)
+    return TruthTable(tt.n, best), walk_transform(tt.n, positions[best])
+
+
+def retarget(circuit: AigCircuit, tt: TruthTable) -> AigCircuit:
+    """``circuit``, which computes a member of ``tt``'s NPN orbit, moved by the
+    inverse of that member's walk transform: a circuit of the same size for
+    ``tt``.  Raises ValueError when the circuit computes no orbit member."""
+    bits = circuit.evaluate().bits
+    position = orbit_positions(tt).get(bits) if circuit.n == tt.n else None
+    if position is None:
+        raise ValueError(f"0x{bits:x} (n={circuit.n}) is not in the NPN orbit of {tt.hex()}")
+    return transform_circuit(circuit, walk_transform(tt.n, position).inverse())
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,16 +239,12 @@ def enumerate_classes(n: int) -> NpnClassTable:
             f"NPN classes can be enumerated for n in 1..{MAX_CLASS_VARS}, got {n}"
         )
     rows = 1 << n
-    mask = (1 << rows) - 1
     function_class = [-1] * (1 << rows)
     classes: list[NpnClass] = []
     for bits in range(1 << rows):
         if function_class[bits] >= 0:
             continue
-        members = set()
-        for tables in _orbit_walk(n, bits):
-            members.update(tables)
-            members.update(t ^ mask for t in tables)
+        members = set(_walk_patterns(n, bits))
         index = len(classes)
         for member in members:
             function_class[member] = index

@@ -10,7 +10,7 @@ dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,7 +30,7 @@ class ResultRecord:
     exhausted_below: int
     witness_aag: str
     # Provenance: "enum" (opt_size on this table) or "oracle" (opt_size on its
-    # NPN class, the witness moved to this table by npn.transform_circuit).
+    # NPN class, the witness moved to this table by npn.retarget).
     backend: str
     elapsed_ms: int
     timestamp: str  # UTC ISO-8601
@@ -100,13 +100,11 @@ class LoadedStore:
         }
 
 
-def _dominates(a: ResultRecord, b: ResultRecord) -> bool:
-    """True when record a should replace record b for the same table."""
-    if a.status != b.status:
-        return a.status == Status.EXACT.value
-    if a.size != b.size:
-        return a.size < b.size
-    return a.timestamp < b.timestamp
+def _rank(r: ResultRecord) -> tuple:
+    """Dominance order, best first: exact before upper bound, then smaller,
+    then earlier.  All fields break a remaining tie, so the order is total and
+    the best record never depends on line order."""
+    return (r.status != Status.EXACT.value, r.size, r.timestamp, astuple(r))
 
 
 def load_store(path: str | Path) -> LoadedStore:
@@ -129,6 +127,6 @@ def load_store(path: str | Path) -> LoadedStore:
                 continue
             key = record.tt_hex
             incumbent = best.get(key)
-            if incumbent is None or _dominates(record, incumbent):
+            if incumbent is None or _rank(record) < _rank(incumbent):
                 best[key] = record
     return LoadedStore(best=best, issues=issues)

@@ -20,9 +20,8 @@ Three routes live here:
 The target is the orbit.  Input negation, input permutation and output
 negation never change a circuit's gate count, so a k-gate circuit for any
 member of the target's NPN orbit (``npn.orbit_positions``) answers the
-query: the search accepts a last gate whose value lies in the orbit, then maps
-the witness back to the target with ``npn.transform_circuit`` and the inverse
-of that member's transform (``npn.walk_transform``).
+query: the search accepts a last gate whose value lies in the orbit, then
+``npn.retarget`` maps the witness back to the target.
 
 Enumeration canonical form: gates occupy nodes n+1..n+k in creation order,
 fanin pairs are sorted, the last gate is the output root, and a gate that
@@ -95,7 +94,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .aig import AigCircuit, AndGate, Literal
-from .npn import orbit_positions, transform_circuit, walk_transform
+from .npn import orbit_positions, retarget
 from .truthtable import TruthTable, var_table
 
 
@@ -104,14 +103,20 @@ class Status(Enum):
     UPPER_BOUND = "upper-bound"
 
 
+# ``_gate_choices`` builds ~|pairs|^2 / 2 entries per gate node before a budget
+# can stop anything: at n = 6, peak RSS is 73 MB for 32 gates and 809 MB for 60.
+# The cap also keeps node indices inside ``_pack_sig``'s 10-bit field.
+MAX_GATES = 32
+
+
 @dataclass(frozen=True, slots=True)
 class SynthesisConfig:
     max_gates: int = 16
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_gates < 0:
-            raise ValueError("max_gates must be >= 0")
+        if not 0 <= self.max_gates <= MAX_GATES:
+            raise ValueError(f"max_gates must be in 0..{MAX_GATES}, got {self.max_gates}")
         # NaN compares false, so only this form rejects it; inf means no limit.
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
@@ -267,16 +272,6 @@ def _trivial_witness(tt: TruthTable) -> AigCircuit | None:
 _MEMO_CAP = 1 << 20
 
 
-@lru_cache(maxsize=2)
-def _target_orbit(n: int, bits: int):
-    """``(positions, patterns)``: ``npn.orbit_positions`` of the target and
-    its keys as a frozenset.  The orbit is closed under complement, so the
-    set also holds every pattern normalized up to complement.  ``opt_size``
-    asks at every k, so the last two targets are kept."""
-    positions = orbit_positions(TruthTable(n, bits))
-    return positions, frozenset(positions)
-
-
 def exists_circuit(
     tt: TruthTable, k: int, cfg: SynthesisConfig = DEFAULT_CONFIG
 ) -> ExistsOutcome:
@@ -297,7 +292,11 @@ def exists_circuit(
     mask = tt.mask
     # The orbit is built before the clock starts: the budget bounds the
     # search, not this fixed set-up (~60 ms at n = 6) that every k shares.
-    targets, targets_n = _target_orbit(n, tt.bits)
+    # It is closed under complement, so the set of its patterns also holds
+    # every pattern normalized up to complement; the last-gate test runs
+    # faster against a set than against the dict's keys.
+    targets = orbit_positions(tt)
+    targets_n = frozenset(targets)
     start = time.monotonic()
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
 
@@ -335,7 +334,7 @@ def exists_circuit(
                     if v in targets:
                         nodes_visited += pairs.index(cand) + 1
                         found = _chain_to_circuit(n, chain + [cand], complement=False)
-                        return transform_circuit(found, walk_transform(n, targets[v]).inverse())
+                        return retarget(found, tt)
             nodes_visited += len(pairs)
             return None
 
@@ -401,11 +400,9 @@ def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult
     bound.  ``exhausted_below`` is the largest gate count proven infeasible.
     """
     start = time.monotonic()
-    k0 = 0 if _trivial_witness(tt) is not None else 1
-    # k=0 is decided exactly by the trivial-witness check either way.
-    exhausted_below = -1 if k0 == 0 else 0
+    exhausted_below = -1
     contiguous = True
-    for k in range(k0, cfg.max_gates + 1):
+    for k in range(cfg.max_gates + 1):
         outcome = exists_circuit(tt, k, cfg)
         if outcome.witness is not None:
             return OptResult(

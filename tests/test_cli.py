@@ -66,6 +66,21 @@ def test_synth_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["synth", "cnf-export"])
+def test_gate_cap_above_limit_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    def search_reached(n, m):
+        raise AssertionError("the gate lists were built")
+
+    monkeypatch.setattr("aigopt.synthesis._gate_choices", search_reached)
+    out_dir = tmp_path / "cnf"
+    argv = [command, "0x6996966996696996", "-n", "6", "--max-gates", "33"]
+    argv += ["--budget-secs", "0.01"] if command == "synth" else ["--cnf-dir", str(out_dir)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "0..32" in err
+    assert not out_dir.exists()
+
+
 def test_synth_inconclusive_exit(capsys):
     code, out, _ = run(capsys, "synth", "0x6", "-n", "2", "--max-gates", "2")
     assert code == EXIT_UPPER_BOUND
@@ -425,7 +440,7 @@ def test_class_enumeration_rejects_n_above_four(capsys, tmp_path, monkeypatch, a
     def orbit_scan_reached(n, bits):
         raise AssertionError(f"enumerate_classes({n}) started its orbit scan")
 
-    monkeypatch.setattr("aigopt.npn._orbit_walk", orbit_scan_reached)
+    monkeypatch.setattr("aigopt.npn._walk_patterns", orbit_scan_reached)
     if argv[-1] == "--store":
         store = tmp_path / "s.jsonl"
         store.write_text(HEADER + "\n")

@@ -11,8 +11,8 @@ from aigopt.npn import (
     apply_transform,
     canonicalize,
     enumerate_classes,
-    orbit,
     orbit_positions,
+    retarget,
     transform_circuit,
     walk_transform,
 )
@@ -152,11 +152,33 @@ def test_orbit_maps_each_pattern_by_its_transform(classes2, classes3, classes4, 
     n = data.draw(st.integers(1, 4))
     tt = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     table = {1: enumerate_classes(1), 2: classes2, 3: classes3, 4: classes4}[n]
-    patterns = orbit(tt)
-    assert patterns[tt.bits] == NpnTransform.identity(n)
-    for pattern, t in patterns.items():
-        assert apply_transform(tt, t).bits == pattern
-    assert len(patterns) == table[table.classify(tt)].orbit_size
+    positions = orbit_positions(tt)
+    assert positions[tt.bits] == 0
+    assert walk_transform(n, 0) == NpnTransform.identity(n)
+    for pattern, position in positions.items():
+        assert apply_transform(tt, walk_transform(n, position)).bits == pattern
+    assert len(positions) == table[table.classify(tt)].orbit_size
+
+
+@given(circuits_and_transforms())
+def test_retarget_moves_a_member_circuit_onto_the_table(case):
+    circuit, t = case
+    target = apply_transform(circuit.evaluate(), t)
+    moved = retarget(circuit, target)
+    assert moved.validate() == []
+    assert moved.size() == circuit.size()
+    assert moved.evaluate() == target
+
+    outside = next(
+        TruthTable(target.n, bits)
+        for bits in range(1 << target.rows)
+        if bits not in orbit_positions(target)
+    )
+    with pytest.raises(ValueError, match="not in the NPN orbit"):
+        retarget(circuit, outside)
+    if target.n > 1:
+        with pytest.raises(ValueError, match="not in the NPN orbit"):
+            retarget(circuit, TruthTable(target.n - 1, 0))
 
 
 def test_walk_positions_name_every_transform_once():
@@ -179,7 +201,7 @@ def test_enumerate_classes_rejects_n_above_four_before_allocating(monkeypatch):
     def orbit_scan_reached(n, bits):
         raise AssertionError(f"enumerate_classes({n}) started its orbit scan")
 
-    monkeypatch.setattr("aigopt.npn._orbit_walk", orbit_scan_reached)
+    monkeypatch.setattr("aigopt.npn._walk_patterns", orbit_scan_reached)
     for n in (0, 5, 6):
         with pytest.raises(ValueError, match="1..4"):
             enumerate_classes(n)

@@ -1,8 +1,12 @@
 import json
 import random
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aigopt.aig import to_aiger
 from aigopt.store import (
@@ -87,6 +91,43 @@ def test_earliest_timestamp_breaks_ties(tmp_path):
     append_record(path, late)
     append_record(path, early)
     assert load_store(path).best[early.tt_hex].timestamp == early.timestamp
+
+
+@st.composite
+def tying_records(draw):
+    """Valid records over a few n=2 tables, their fields drawn from small sets
+    so that records for one table often tie on status, size and timestamp."""
+    records = []
+    for _ in range(draw(st.integers(1, 10))):
+        circuit = random_circuit(random.Random(draw(st.integers(0, 7))), 2, 3)
+        exact = draw(st.booleans())
+        records.append(
+            ResultRecord(
+                tt_hex=circuit.evaluate().hex(),
+                n=2,
+                size=circuit.size(),
+                status=(Status.EXACT if exact else Status.UPPER_BOUND).value,
+                exhausted_below=circuit.size() - 1 if exact else draw(st.integers(-1, 0)),
+                witness_aag=to_aiger(circuit),
+                backend=draw(st.sampled_from(["enum", "oracle"])),
+                elapsed_ms=draw(st.integers(0, 1)),
+                timestamp=draw(
+                    st.sampled_from(["2026-01-01T00:00:00+00:00", "2026-06-01T00:00:00+00:00"])
+                ),
+            )
+        )
+    return records
+
+
+@given(tying_records(), st.data())
+def test_any_line_order_loads_the_same_best_map(records, data):
+    shuffled = data.draw(st.permutations(records))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp) / "given.jsonl", Path(tmp) / "shuffled.jsonl"
+        for path, lines in zip(paths, (records, shuffled)):
+            for record in lines:
+                append_record(path, record)
+        assert load_store(paths[0]).best == load_store(paths[1]).best
 
 
 def test_corrupt_line_reported_with_number(tmp_path):

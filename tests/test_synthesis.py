@@ -3,8 +3,9 @@ import random
 import pytest
 
 from aigopt.aig import AndGate, Literal, from_aiger, to_aiger
-from aigopt.npn import apply_transform
+from aigopt.npn import apply_transform, canonicalize, orbit_positions
 from aigopt.synthesis import (
+    MAX_GATES,
     SearchInconclusiveError,
     Status,
     SynthesisConfig,
@@ -78,6 +79,24 @@ def test_budget_bounds_the_search_not_the_orbit_build():
     assert (result.size, result.status) == (2, Status.EXACT)
 
 
+def test_canonicalize_then_opt_size_walk_the_orbit_once(monkeypatch):
+    import aigopt.npn as npn
+
+    walks = []
+    real = npn._walk_patterns
+
+    def counted(n, bits):
+        walks.append((n, bits))
+        return real(n, bits)
+
+    monkeypatch.setattr(npn, "_walk_patterns", counted)
+    orbit_positions.cache_clear()
+    member = parse_hex("0x0080", 4)
+    assert canonicalize(member)[0] == parse_hex("0x0001", 4)
+    assert opt_size(member, SynthesisConfig(max_gates=4)).size == 3
+    assert walks == [(4, 0x0080)]
+
+
 def test_opt_size_minterm_of_four_is_three_exact():
     result = opt_size(parse_hex("0x0001", 4))
     assert result.size == 3
@@ -103,6 +122,12 @@ def test_opt_size_raises_when_capped():
     with pytest.raises(SearchInconclusiveError) as exc:
         opt_size(parse_hex("0x6", 2), SynthesisConfig(max_gates=2))
     assert exc.value.exhausted_below == 2
+    # At cap 0 only the zero-gate check runs: it proves k = 0 or answers.
+    with pytest.raises(SearchInconclusiveError) as exc:
+        opt_size(parse_hex("0x6", 2), SynthesisConfig(max_gates=0))
+    assert exc.value.exhausted_below == 0
+    result = opt_size(parse_hex("0x5", 2), SynthesisConfig(max_gates=0))
+    assert (result.size, result.status, result.exhausted_below) == (0, Status.EXACT, -1)
 
 
 def test_opt_size_downgrades_on_budget_interruption(monkeypatch):
@@ -112,6 +137,7 @@ def test_opt_size_downgrades_on_budget_interruption(monkeypatch):
     xor = parse_hex("0x6", 2)
     real_witness = exists_circuit(xor, 3).witness
     script = {
+        0: synthesis.ExistsOutcome(None, True, 0, 0.0),
         1: synthesis.ExistsOutcome(None, True, 0, 0.0),   # proven infeasible
         2: synthesis.ExistsOutcome(None, False, 0, 0.0),  # budget stop
         3: synthesis.ExistsOutcome(real_witness, False, 0, 0.0),
@@ -130,6 +156,7 @@ def test_opt_size_tracks_largest_proven_level(monkeypatch):
     pad = from_aiger(FOUR_GATE_XOR_AAG)
     assert pad.evaluate() == xor and pad.size() == 4
     script = {
+        0: synthesis.ExistsOutcome(None, True, 0, 0.0),
         1: synthesis.ExistsOutcome(None, True, 0, 0.0),
         2: synthesis.ExistsOutcome(None, False, 0, 0.0),  # budget stop
         3: synthesis.ExistsOutcome(None, True, 0, 0.0),   # proven later anyway
@@ -145,6 +172,9 @@ def test_opt_size_tracks_largest_proven_level(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthesisConfig(max_gates=-1)
+    assert SynthesisConfig(max_gates=MAX_GATES).max_gates == MAX_GATES
+    with pytest.raises(ValueError, match=f"0..{MAX_GATES}"):
+        SynthesisConfig(max_gates=MAX_GATES + 1)
     with pytest.raises(ValueError):
         SynthesisConfig(time_budget=0)
     # NaN passes a ``<= 0`` test, yet a deadline of start + NaN never fires.
