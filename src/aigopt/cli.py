@@ -30,7 +30,7 @@ from pathlib import Path
 from .aig import from_aiger, to_aiger
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
 from .npn import NpnClassTable, enumerate_classes, retarget
-from .repair import repair_clear, repair_multi, repair_set
+from .repair import repair_multi
 from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
 from .synthesis import (
     SearchInconclusiveError,
@@ -39,7 +39,7 @@ from .synthesis import (
     encode_cnf,
     opt_size,
 )
-from .truthtable import Assignment, TruthTable, parse_hex
+from .truthtable import TruthTable, parse_hex
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,11 +66,19 @@ def _store_path(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _load_store(path: Path) -> LoadedStore:
-    """Load a store, naming each rejected line on stderr."""
+def _load_store(path: Path, n: int) -> LoadedStore | None:
+    """Load a store, naming each rejected line on stderr; None after reporting
+    records of another n, which hex and bit keys would mistake for n's own."""
     loaded = load_store(path)
     for issue in loaded.issues:
         _human(f"store line {issue.line_number} rejected: {issue.reason}")
+    found = sorted({rec.n for rec in loaded.best.values()})
+    if found and found != [n]:
+        _human(
+            f"error: {path} holds records of n={', '.join(map(str, found))}, "
+            f"not only n={n}; keep one store per n"
+        )
+        return None
     return loaded
 
 
@@ -179,8 +187,10 @@ def _finished_outcomes(futures):
 def cmd_campaign(args) -> int:
     try:
         cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
+        # A forked pool starts all its workers at the first submit.
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise ValueError(f"--jobs must be in 1..{cpus}, the CPU count")
     except ValueError as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE
@@ -193,7 +203,9 @@ def cmd_campaign(args) -> int:
         return EXIT_USAGE
     done: set[str] = set()
     if store.exists():
-        loaded = _load_store(store)
+        loaded = _load_store(store, args.n)
+        if loaded is None:
+            return EXIT_USAGE
         done = {
             rec.tt_hex
             for rec in loaded.best.values()
@@ -273,7 +285,9 @@ def _graph_from_store(args) -> tuple[MutationGraph | None, int]:
     table = _class_table(args.n)
     if table is None:
         return None, EXIT_USAGE
-    loaded = _load_store(store)
+    loaded = _load_store(store, args.n)
+    if loaded is None:
+        return None, EXIT_USAGE
     try:
         graph = build_graph(table, loaded.by_bits())
     except IncompleteStoreError as exc:
@@ -377,18 +391,11 @@ def cmd_repair(args) -> int:
         _human(f"error: {exc}")
         return EXIT_USAGE
     try:
-        table = circuit.evaluate()
         if args.flip is not None:
-            if not 0 <= args.flip < table.rows:
-                raise ValueError(f"flip row {args.flip} out of range for n={circuit.n}")
-            xstar = Assignment(circuit.n, args.flip)
-            if table.eval(xstar) == 0:
-                repaired, report = repair_set(circuit, xstar)
-            else:
-                repaired, report = repair_clear(circuit, xstar)
+            target = circuit.evaluate().flip_bit(args.flip)
         else:
             target = parse_hex(args.target, circuit.n)
-            repaired, report = repair_multi(circuit, target)
+        repaired, report = repair_multi(circuit, target)
     except ValueError as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE

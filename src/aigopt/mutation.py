@@ -81,8 +81,7 @@ def build_graph(table: NpnClassTable, opt_store) -> MutationGraph:
 
     def exact_size(cls: NpnClass) -> int | None:
         rec = opt_store[cls.canon.bits]
-        status = rec.status if isinstance(rec.status, Status) else Status(rec.status)
-        return rec.size if status is Status.EXACT else None
+        return rec.size if Status(rec.status) is Status.EXACT else None
 
     pair_multiplicity: dict[tuple[int, int], int] = {}
     for cls in table:

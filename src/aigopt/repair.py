@@ -1,18 +1,20 @@
 """One-bit circuit repair with certified size bounds.
 
-To move a circuit's function across a single truth-table row x*, build a
-detector that fires exactly on x* (an AND chain over suitably complemented
-input literals, n-1 gates) and correct the output with one more gate:
-OR with the detector to set the row, AND with its complement to clear it.
-Either direction costs exactly n gates in the AIG basis, so d flips cost
-at most n*d, which is the certificate this module enforces on every call.
+Every repair is one flip step, ``_repair``.  To move a circuit's function
+across a single truth-table row x*, it builds a detector that fires exactly
+on x* (an AND chain over suitably complemented input literals, n-1 gates) and
+corrects the output with one more gate.  Set and clear are the step's two
+polarities: OR with the detector sets the row, AND with its complement clears
+it.  Either costs exactly n gates in the AIG basis.  ``repair_multi`` is the
+telescoped chain of steps, one per differing row, so d flips cost at most n*d,
+which is the certificate this module enforces on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aig import AigCircuit, AndGate, Literal, input_literal
+from .aig import AigCircuit, AndGate, Literal
 from .truthtable import Assignment, TruthTable
 
 
@@ -62,12 +64,7 @@ def repair_set(c: AigCircuit, xstar: Assignment) -> tuple[AigCircuit, RepairRepo
     Realized as NOT(NOT f AND NOT eq), i.e. f OR eq with free inversions:
     detector plus one correction gate, n extra gates total.
     """
-    before = c.evaluate()
-    if before.eval(xstar) != 0:
-        raise RepairError(
-            f"repair_set precondition failed: output already 1 on row {xstar.values}"
-        )
-    return _repair(c, xstar, set_bit=True)
+    return _repair(c, xstar, 1)
 
 
 def repair_clear(c: AigCircuit, xstar: Assignment) -> tuple[AigCircuit, RepairReport]:
@@ -75,51 +72,37 @@ def repair_clear(c: AigCircuit, xstar: Assignment) -> tuple[AigCircuit, RepairRe
 
     Realized as f AND NOT eq; the detector is the same, its inversion free.
     """
+    return _repair(c, xstar, 0)
+
+
+def _repair(
+    c: AigCircuit, xstar: Assignment, value: int
+) -> tuple[AigCircuit, RepairReport]:
+    """The flip step: make row x* read ``value``, which it must not read yet."""
     before = c.evaluate()
-    if before.eval(xstar) != 1:
+    if before.eval(xstar) == value:
+        name = "repair_set" if value else "repair_clear"
         raise RepairError(
-            f"repair_clear precondition failed: output already 0 on row {xstar.values}"
+            f"{name} precondition failed: output already {value} on row {xstar.values}"
         )
-    return _repair(c, xstar, set_bit=False)
-
-
-def _repair(c: AigCircuit, xstar: Assignment, set_bit: bool) -> tuple[AigCircuit, RepairReport]:
-    n = c.n
-    det_gates, eq = _detector_parts(n, xstar, next_node=c.node_count)
-    gates = list(c.gates) + det_gates
-    correction_node = n + len(gates) + 1
-    if set_bit:
-        gates.append(AndGate.of(~c.output, ~eq))
-        output = Literal(correction_node, True)
-    else:
-        gates.append(AndGate.of(c.output, ~eq))
-        output = Literal(correction_node, False)
-    repaired = AigCircuit(n, tuple(gates), output)
-    target = c.evaluate().flip_bit(xstar.values)
+    det_gates, eq = _detector_parts(c.n, xstar, next_node=c.node_count)
+    f = ~c.output if value else c.output
+    gates = c.gates + tuple(det_gates) + (AndGate.of(f, ~eq),)
+    repaired = AigCircuit(c.n, gates, Literal(c.n + len(gates), complement=bool(value)))
+    target = before.flip_bit(xstar.values)
     return repaired, _certify(c.size(), repaired, target, flips=1)
 
 
 def repair_multi(c: AigCircuit, target: TruthTable) -> tuple[AigCircuit, RepairReport]:
-    """Chain one-bit repairs, ascending row order, until ``target`` is met."""
+    """Chain one flip step per differing row, ascending, until ``target`` is met."""
     if target.n != c.n:
         raise ValueError(f"arity mismatch: circuit n={c.n}, target n={target.n}")
+    diff = c.evaluate().bits ^ target.bits
+    rows = [row for row in range(target.rows) if (diff >> row) & 1]
     current = c
-    table = c.evaluate()
-    diff = table.bits ^ target.bits
-    flips = 0
-    row = 0
-    while diff:
-        if diff & 1:
-            xstar = Assignment(c.n, row)
-            if table.eval(xstar) == 0:
-                current, _ = repair_set(current, xstar)
-            else:
-                current, _ = repair_clear(current, xstar)
-            table = table.flip_bit(row)
-            flips += 1
-        diff >>= 1
-        row += 1
-    return current, _certify(c.size(), current, target, flips)
+    for row in rows:
+        current, _ = _repair(current, Assignment(c.n, row), (target.bits >> row) & 1)
+    return current, _certify(c.size(), current, target, len(rows))
 
 
 def _certify(

@@ -129,8 +129,7 @@ def var_table(n: int, i: int) -> TruthTable:
     _check_var_count(n)
     if not 0 <= i < n:
         raise ValueError(f"variable index {i} out of range for n={n}")
-    bits = 0
-    for b in range(1 << n):
-        if (b >> i) & 1:
-            bits |= 1 << b
-    return TruthTable(n, bits)
+    # All ones over 2^n rows divided by 2^(2^i) + 1 gives blocks of 2^i ones
+    # every 2^(i+1) rows; shifted up by 2^i they read x_i.
+    mask = (1 << (1 << n)) - 1
+    return TruthTable(n, mask // ((1 << (1 << i)) + 1) << (1 << i))

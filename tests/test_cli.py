@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 
 import pytest
 
@@ -373,6 +374,7 @@ def test_parallel_campaign_keeps_finished_classes_after_a_worker_error(tmp_path,
         return result
 
     monkeypatch.setattr(cli, "opt_size", crash_on_0x00)  # inherited by forked workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     store = tmp_path / "crash.jsonl"
     with pytest.raises(RuntimeError, match="simulated worker crash"):
         main(["campaign", "-n", "3", "--jobs", "2", "--store", str(store)])
@@ -382,7 +384,8 @@ def test_parallel_campaign_keeps_finished_classes_after_a_worker_error(tmp_path,
     assert len(finished) < 13  # some of the 13 other classes never started
 
 
-def test_campaign_parallel_jobs(capsys, tmp_path):
+def test_campaign_parallel_jobs(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     store = tmp_path / "campaign3.jsonl"
     code, out, _ = run(
         capsys, "campaign", "-n", "3", "--jobs", "2", "--store", str(store),
@@ -411,6 +414,7 @@ def test_campaign_appends_records_as_classes_finish(capsys, tmp_path, monkeypatc
         return real_opt_size(tt, cfg)
 
     monkeypatch.setattr(cli, "opt_size", slow_on_0x1)  # inherited by forked workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     store = tmp_path / "order.jsonl"
     code, _, _ = run(capsys, "campaign", "-n", "2", "--jobs", "2", "--store", str(store))
     assert code == EXIT_OK
@@ -425,6 +429,63 @@ def test_campaign_rejects_jobs_below_one(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert out == "" and "--jobs" in err
     assert not store.exists()
+
+
+@pytest.mark.parametrize("cpus", [2, None], ids=["2-cpus", "unknown-cpus"])
+def test_campaign_rejects_jobs_above_cpu_count(capsys, tmp_path, monkeypatch, cpus):
+    """A forked pool starts every worker at its first submit, so --jobs is
+    capped at the CPU count (1 when unknown) before any pool exists."""
+    import aigopt.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("ProcessPoolExecutor constructed")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    store = tmp_path / "jobs.jsonl"
+    jobs = str((cpus or 1) + 1)
+    code, out, err = run(capsys, "campaign", "-n", "2", "--jobs", jobs, "--store", str(store))
+    assert code == EXIT_USAGE
+    assert out == "" and "--jobs" in err
+    assert not store.exists()
+
+
+def test_campaign_refuses_store_of_another_n(capsys, tmp_path):
+    """n=2 records would overwrite n=3 records of the same bits in by_bits(),
+    so an n=2 campaign into an n=3 store is refused and the n=3 graph stays."""
+    store = tmp_path / "mixed.jsonl"
+    assert run(capsys, "campaign", "-n", "3", "--store", str(store))[0] == EXIT_OK
+    before = store.read_bytes()
+    code, out, err = run(capsys, "campaign", "-n", "2", "--store", str(store))
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "n=3" in err
+    assert store.read_bytes() == before
+    code, out, _ = run(capsys, "graph", "-n", "3", "--store", str(store))
+    assert code == EXIT_OK
+    assert json.loads(out)["histogram"] == {"0": 3, "1": 6, "2": 9, "3": 2}
+    assert run(capsys, "verify", "-n", "3", "--store", str(store))[0] == EXIT_OK
+
+
+def test_campaign_refuses_store_sharing_hex_spellings(capsys, tmp_path):
+    """n=1 and n=2 tables share one-digit hex keys, so an n=1 store would
+    pass for finished n=2 classes."""
+    store = tmp_path / "mixed.jsonl"
+    assert run(capsys, "campaign", "-n", "1", "--store", str(store))[0] == EXIT_OK
+    before = store.read_bytes()
+    code, out, err = run(capsys, "campaign", "-n", "2", "--store", str(store))
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "n=1" in err
+    assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["graph", "verify"])
+def test_graph_and_verify_refuse_a_mixed_n_store(capsys, tmp_path, command):
+    store = tmp_path / "mixed.jsonl"
+    assert run(capsys, "campaign", "-n", "3", "--store", str(store))[0] == EXIT_OK
+    assert run(capsys, "synth", "0x6", "-n", "2", "--store", str(store))[0] == EXIT_OK
+    code, out, err = run(capsys, command, "-n", "3", "--store", str(store))
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "n=2, 3" in err
 
 
 @pytest.mark.parametrize(

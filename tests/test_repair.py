@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from aigopt.aig import FALSE, AigCircuit, Literal
+from aigopt.aig import FALSE, AigCircuit, AndGate, Literal, to_aiger
 from aigopt.repair import (
     RepairError,
     build_detector,
@@ -153,30 +155,34 @@ def test_repair_multi_arity_mismatch():
         repair_multi(AigCircuit(3, (), FALSE), parse_hex("0xffff", 4))
 
 
-def test_randomized_certificates_both_directions():
-    rng = random.Random(67)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        c = random_circuit(rng, n, 6)
-        table = c.evaluate()
-        row = rng.randrange(1 << n)
-        xstar = Assignment(n, row)
-        if table.eval(xstar) == 0:
-            repaired, report = repair_set(c, xstar)
-        else:
-            repaired, report = repair_clear(c, xstar)
-        assert repaired.evaluate() == table.flip_bit(row)
-        assert repaired.size() <= c.size() + n
-        assert report.output_size <= report.bound
+def test_repair_gadget_aiger_is_pinned():
+    """x0 AND NOT x1 (0x22): setting row 0b110 ORs in a detector of NOT x0, x1
+    and x2; clearing row 0b101 ANDs in the complement of one of x0, NOT x1, x2."""
+    c = AigCircuit(3, (AndGate.of(Literal(1), Literal(2, True)),), Literal(4))
+    set_row, _ = repair_set(c, Assignment(3, 0b110))
+    assert to_aiger(set_row) == "aag 7 3 0 1 4\n2\n4\n6\n15\n8 2 5\n10 3 4\n12 6 10\n14 9 13\n"
+    cleared, _ = repair_clear(c, Assignment(3, 0b101))
+    assert to_aiger(cleared) == "aag 7 3 0 1 4\n2\n4\n6\n14\n8 2 5\n10 2 5\n12 6 10\n14 8 13\n"
 
 
-def test_random_multi_repairs():
-    rng = random.Random(71)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        c = random_circuit(rng, n, 5)
-        target = TruthTable(n, rng.randrange(1 << (1 << n)))
-        repaired, report = repair_multi(c, target)
-        assert repaired.evaluate() == target
-        assert report.flips == c.evaluate().hamming(target)
-        assert repaired.size() <= c.size() + n * report.flips
+@given(st.data())
+def test_repair_certificate_property(data):
+    """Every flip adds exactly n gates, and exactly one polarity applies to a row."""
+    n = data.draw(st.integers(1, 4))
+    c = random_circuit(random.Random(data.draw(st.integers(0, 2**32 - 1))), n, 6)
+    target = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    repaired, report = repair_multi(c, target)
+    assert repaired.evaluate() == target
+    assert report.flips == c.evaluate().hamming(target)
+    assert repaired.size() == c.size() + n * report.flips == report.bound
+
+    xstar = Assignment(n, data.draw(st.integers(0, (1 << n) - 1)))
+    table = c.evaluate()
+    applies, refused = repair_set, repair_clear
+    if table.eval(xstar):
+        applies, refused = refused, applies
+    flipped, _ = applies(c, xstar)
+    assert flipped.evaluate() == table.flip_bit(xstar.values)
+    assert flipped.size() == c.size() + n
+    with pytest.raises(RepairError, match=refused.__name__):
+        refused(c, xstar)

@@ -137,6 +137,10 @@ def test_flip_changes_distance_by_one():
 def test_var_and_const_tables():
     assert var_table(4, 0).hex() == "0xaaaa"
     assert var_table(2, 1).bits == 0b1100
+    for n in range(1, 7):
+        for i in range(n):
+            rows = sum(1 << b for b in range(1 << n) if (b >> i) & 1)
+            assert var_table(n, i) == TruthTable(n, rows)
     assert const_table(3, False).bits == 0
     assert const_table(3, True).bits == 0xFF
 
