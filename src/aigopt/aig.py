@@ -37,11 +37,6 @@ FALSE = Literal(CONST_NODE, False)
 TRUE = Literal(CONST_NODE, True)
 
 
-def input_literal(i: int) -> Literal:
-    """Plain literal of input x_i (inputs are nodes 1..n)."""
-    return Literal(i + 1, False)
-
-
 @dataclass(frozen=True, slots=True)
 class AndGate:
     fanin0: Literal

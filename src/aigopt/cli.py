@@ -4,9 +4,10 @@ Machine-readable JSON goes to stdout as a single document; human-readable
 summaries go to stderr, where ``graph`` also prints its |delta| histogram.
 ``classify`` and ``graph`` print CSV instead with ``--format csv``.  ``synth``
 searches one function, ``campaign`` every NPN class of n (appending each record
-as its class finishes) and ``cnf-export`` writes DIMACS queries.  ``oracle``
-runs ``opt_size`` once per NPN class of n <= 3 and stores every function with
-its class's witness moved to it by ``npn.retarget``.  Commands that
+as its class finishes) and ``cnf-export`` streams DIMACS queries to disk.
+``oracle`` runs ``opt_size`` once per NPN class of n <= 3 and stores every
+function with its class's witness moved to it by ``npn.retarget``, from the
+class canon that witness computes.  Commands that
 enumerate NPN classes (``classify``, ``graph``, ``verify``, ``campaign``)
 accept n <= 4 only.  Exit codes: 0 success (or bound holds),
 1 usage error, 2 upper-bound/unknown result, 3 bound violation, 4 incomplete
@@ -28,17 +29,12 @@ from functools import partial
 from pathlib import Path
 
 from .aig import from_aiger, to_aiger
+from .cnf import encode_cnf
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
 from .npn import NpnClassTable, enumerate_classes, retarget
 from .repair import repair_multi
 from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
-from .synthesis import (
-    SearchInconclusiveError,
-    Status,
-    SynthesisConfig,
-    encode_cnf,
-    opt_size,
-)
+from .synthesis import SearchInconclusiveError, Status, SynthesisConfig, opt_size
 from .truthtable import TruthTable, parse_hex
 
 EXIT_OK = 0
@@ -114,6 +110,9 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE
+    store = _store_path(args)
+    if store is not None and store.exists() and _load_store(store, args.n) is None:
+        return EXIT_USAGE
 
     outcome = _synth_one(tt.hex(), args.n, cfg)
     if "error" in outcome:
@@ -124,7 +123,6 @@ def cmd_synth(args) -> int:
         )
         return EXIT_UPPER_BOUND
     record = ResultRecord(**outcome)
-    store = _store_path(args)
     if store is not None:
         append_record(store, record)
     _emit({"schema": "aigopt.synth/1", **outcome})
@@ -147,7 +145,8 @@ def cmd_cnf_export(args) -> int:
     written = []
     for k in range(1, hi + 1):
         path = out_dir / f"{tt.hex()}_n{tt.n}_k{k}.cnf"
-        path.write_text(encode_cnf(tt, k), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(encode_cnf(tt, k))
         written.append(str(path))
     _emit(
         {
@@ -160,7 +159,7 @@ def cmd_cnf_export(args) -> int:
     )
     _human(
         f"wrote {len(written)} DIMACS files to {out_dir}; solve externally and "
-        "import models with aigopt.synthesis.decode_model"
+        "import models with aigopt.cnf.decode_model"
     )
     return EXIT_OK
 
@@ -425,6 +424,8 @@ def cmd_oracle(args) -> int:
     if store is None:
         _human("error: oracle mode requires --store or " + STORE_ENV)
         return EXIT_USAGE
+    if store.exists() and _load_store(store, args.n) is None:
+        return EXIT_USAGE
     started = time.monotonic()
     table = enumerate_classes(args.n)
     solved = [opt_size(c.canon) for c in table]
@@ -440,7 +441,7 @@ def cmd_oracle(args) -> int:
             size=result.size,
             status=result.status.value,
             exhausted_below=result.exhausted_below,
-            witness_aag=to_aiger(retarget(result.witness, tt)),
+            witness_aag=to_aiger(retarget(result.witness, result.tt.bits, tt)),
             backend="oracle",
             elapsed_ms=elapsed_ms,
             timestamp=stamp,

@@ -8,7 +8,8 @@ each pattern to the first position that meets it, does the same work for
 every function of n inputs whatever its orbit size, and keeps the last two
 tables.  ``canonicalize`` takes its minimum, and ``retarget`` moves a circuit
 for any orbit member back to the table the orbit was taken from; the search
-and the ``oracle`` command both map their witnesses with it.  Enumeration
+and the ``oracle`` command both map their witnesses with it, each passing the
+pattern it already knows the circuit computes.  Enumeration
 walks all 2^(2^n) functions in ascending pattern order and marks whole
 orbits, so the first unmarked function met is automatically canonical.
 """
@@ -183,11 +184,12 @@ def canonicalize(tt: TruthTable) -> tuple[TruthTable, NpnTransform]:
     return TruthTable(tt.n, best), walk_transform(tt.n, positions[best])
 
 
-def retarget(circuit: AigCircuit, tt: TruthTable) -> AigCircuit:
-    """``circuit``, which computes a member of ``tt``'s NPN orbit, moved by the
-    inverse of that member's walk transform: a circuit of the same size for
-    ``tt``.  Raises ValueError when the circuit computes no orbit member."""
-    bits = circuit.evaluate().bits
+def retarget(circuit: AigCircuit, bits: int, tt: TruthTable) -> AigCircuit:
+    """``circuit``, which computes ``bits``, a member of ``tt``'s NPN orbit,
+    moved by the inverse of that member's walk transform: a circuit of the same
+    size for ``tt``.  The caller vouches for ``bits``; the circuit is not
+    simulated.  Raises ValueError when ``bits`` is no orbit member or the
+    circuit's n differs from ``tt``'s."""
     position = orbit_positions(tt).get(bits) if circuit.n == tt.n else None
     if position is None:
         raise ValueError(f"0x{bits:x} (n={circuit.n}) is not in the NPN orbit of {tt.hex()}")

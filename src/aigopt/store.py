@@ -30,7 +30,8 @@ class ResultRecord:
     exhausted_below: int
     witness_aag: str
     # Provenance: "enum" (opt_size on this table) or "oracle" (opt_size on its
-    # NPN class, the witness moved to this table by npn.retarget).
+    # NPN class, the witness moved to this table by npn.retarget, which trusts
+    # the pattern it is given; verify() is where the witness is simulated).
     backend: str
     elapsed_ms: int
     timestamp: str  # UTC ISO-8601

@@ -1,6 +1,6 @@
 """Exact minimum AIG sizes by exhaustive enumeration.
 
-Three routes live here:
+Two routes live here:
 
 * ``exists_circuit`` / ``opt_size`` — iterative-deepening search over a
   canonical, symmetry-broken circuit space for any function in the target's
@@ -11,17 +11,16 @@ Three routes live here:
   function sets for n <= 3, covering every function at once.  It returns
   sizes only, shares no search code with the orbit search and is the
   reference the tests check that route against.
-* ``encode_cnf`` / ``decode_model`` — a DIMACS export/import path so an
-  external SAT solver can answer the same per-(function, k) question.  One
-  numbering function, ``_cnf_layout``, is shared by the encoder and the
-  decoder, and the decoder builds its circuit with the search's
-  ``_chain_to_circuit``.  No solver is embedded.
+
+``aigopt.cnf`` exports the same per-(function, k) question as DIMACS for an
+external SAT solver, with this module's candidate order.
 
 The target is the orbit.  Input negation, input permutation and output
 negation never change a circuit's gate count, so a k-gate circuit for any
 member of the target's NPN orbit (``npn.orbit_positions``) answers the
 query: the search accepts a last gate whose value lies in the orbit, then
-``npn.retarget`` maps the witness back to the target.
+``npn.retarget`` maps the witness back to the target.  At k = 0 the constant
+0 or the input x0 is the witness when it lies in the orbit.
 
 Enumeration canonical form: gates occupy nodes n+1..n+k in creation order,
 fanin pairs are sorted, the last gate is the output root, and a gate that
@@ -78,7 +77,6 @@ every pair up to the first that closes, which is the witness such a walk
 returns, or the whole list when none does.  The node counts therefore stay
 regression gates.
 
-The CNF encoding carries the first four reductions, and neither symmetry cut.
 Because the reductions forbid redundant gates, ``exists_circuit(tt, k)`` may
 report k infeasible for k above the optimum (a constant has no witness at
 any k >= 1); only the upward iteration of ``opt_size`` yields sizes.
@@ -254,21 +252,6 @@ def _orbit_minimal_pairs(n: int, pairs):
     return keep
 
 
-def _trivial_witness(tt: TruthTable) -> AigCircuit | None:
-    """Zero-gate circuit for constants and bare literals, else None."""
-    if tt.bits == 0:
-        return AigCircuit(tt.n, (), Literal(0, False))
-    if tt.bits == tt.mask:
-        return AigCircuit(tt.n, (), Literal(0, True))
-    for i in range(tt.n):
-        v = var_table(tt.n, i).bits
-        if tt.bits == v:
-            return AigCircuit(tt.n, (), Literal(i + 1, False))
-        if tt.bits == v ^ tt.mask:
-            return AigCircuit(tt.n, (), Literal(i + 1, True))
-    return None
-
-
 _MEMO_CAP = 1 << 20
 
 
@@ -283,11 +266,6 @@ def exists_circuit(
     """
     if k < 0:
         raise ValueError("gate count must be >= 0")
-    if k == 0:
-        start = time.monotonic()
-        witness = _trivial_witness(tt)
-        return ExistsOutcome(witness, witness is None, 0, time.monotonic() - start)
-
     n = tt.n
     mask = tt.mask
     # The orbit is built before the clock starts: the budget bounds the
@@ -334,7 +312,7 @@ def exists_circuit(
                     if v in targets:
                         nodes_visited += pairs.index(cand) + 1
                         found = _chain_to_circuit(n, chain + [cand], complement=False)
-                        return retarget(found, tt)
+                        return retarget(found, v, tt)
             nodes_visited += len(pairs)
             return None
 
@@ -375,10 +353,18 @@ def exists_circuit(
                 memo.add(key)
         return None
 
-    try:
-        witness = search(n + 1, -1, 0)
-    except _BudgetExceeded:
-        return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
+    if k == 0:
+        # A constant or a literal: the orbit holds x0 whenever it holds any
+        # literal, so node 0 or node 1 answers if any zero-gate circuit does.
+        hit = next((j for j in (0, 1) if values[j] in targets), None)
+        witness = (
+            None if hit is None else retarget(AigCircuit(n, (), Literal(hit)), values[hit], tt)
+        )
+    else:
+        try:
+            witness = search(n + 1, -1, 0)
+        except _BudgetExceeded:
+            return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
     return ExistsOutcome(
         witness, witness is None, nodes_visited, time.monotonic() - start
     )
@@ -492,184 +478,3 @@ def brute_oracle(n: int) -> dict[int, OracleEntry]:
                 break
         frontier = next_frontier
     return {bits: OracleEntry(size) for bits, size in sizes.items()}
-
-
-# ---------------------------------------------------------------------------
-# CNF export / model import for external SAT solvers.
-# ---------------------------------------------------------------------------
-
-
-def _cnf_layout(n: int, k: int):
-    """Variable numbering shared by ``encode_cnf`` and ``decode_model``.
-
-    Returns ``(candidates, sel_base, out_var)``: gate i's (1..k) fanin pairs
-    ``candidates[i - 1]``, numbered from selection variable ``sel_base[i - 1]``
-    on, and the output polarity variable.  The 2^n value variables of each gate
-    sit in gate order between the last selection variable and ``out_var``, so
-    gate i's value on row r is ``out_var - (k + 1 - i) * 2^n + r``.
-    """
-    if k < 1:
-        raise ValueError("CNF encoding requires k >= 1")
-    mask = (1 << (1 << n)) - 1
-    candidates = [_candidate_pairs(n + i - 1, mask) for i in range(1, k + 1)]
-    sel_base = []
-    nv = 0
-    for cands in candidates:
-        sel_base.append(nv + 1)
-        nv += len(cands)
-    return candidates, sel_base, nv + k * (1 << n) + 1
-
-
-def encode_cnf(tt: TruthTable, k: int) -> str:
-    """DIMACS CNF satisfiable iff a k-gate AIG in the pruned canonical
-    space computes ``tt``.
-
-    The symmetry-breaking gate order used by the enumeration backend is not
-    encoded because it never changes satisfiability.  The variable layout is
-    documented in the comment header and is reproduced by ``decode_model``.
-    """
-    n, rows = tt.n, tt.rows
-    candidates, sel_base, out_var = _cnf_layout(n, k)
-    # values[i - 1][r] is gate i's value variable on row r.
-    values = [range(v, v + rows) for v in range(out_var - k * rows, out_var, rows)]
-    clauses: list[tuple[int, ...]] = []
-
-    for cands, base, gate_vals in zip(candidates, sel_base, values):
-        sel = range(base, base + len(cands))
-        clauses.append(tuple(sel))
-        for a in range(len(sel)):
-            for b in range(a + 1, len(sel)):
-                clauses.append((-sel[a], -sel[b]))
-        for s, (_, j0, x0, j1, x1) in zip(sel, cands):
-            for r, v in enumerate(gate_vals):
-                # An input fanin is a constant on each row; a gate fanin is a
-                # signed value literal.  A constant 0 forces the gate to 0,
-                # otherwise the gate is the AND of its literal fanins.
-                zero = False
-                lits = []
-                for j, x in ((j0, x0), (j1, x1)):
-                    if j <= n:
-                        zero |= ((r >> (j - 1)) & 1) == bool(x)
-                    else:
-                        lit = values[j - n - 1][r]
-                        lits.append(-lit if x else lit)
-                if zero:
-                    clauses.append((-s, -v))
-                    continue
-                clauses.append((-s, *(-lit for lit in lits), v))
-                clauses.extend((-s, lit, -v) for lit in lits)
-
-    # Output: value of gate k, complemented when the polarity var is true.
-    for r, v in enumerate(values[-1]):
-        if (tt.bits >> r) & 1:
-            clauses.append((v, out_var))
-            clauses.append((-v, -out_var))
-        else:
-            clauses.append((-v, out_var))
-            clauses.append((v, -out_var))
-
-    # Every gate but the root is read by some later gate.
-    for g in range(1, k):
-        node = n + g
-        users = [
-            base + t
-            for cands, base in zip(candidates[g:], sel_base[g:])
-            for t, (_, j0, _x0, j1, _x1) in enumerate(cands)
-            if j0 == node or j1 == node
-        ]
-        clauses.append(tuple(users))
-
-    # No gate recomputes a constant, an input or an earlier gate, up to
-    # complement.
-    fixed = [0] + [var_table(n, i).bits for i in range(n)]
-    for gate_vals in values:
-        for pattern in fixed:
-            for target in (pattern, pattern ^ tt.mask):
-                clauses.append(
-                    tuple(
-                        -v if (target >> r) & 1 else v
-                        for r, v in enumerate(gate_vals)
-                    )
-                )
-    num_vars = out_var
-    for i in range(k):
-        for j in range(i + 1, k):
-            # differ somewhere, and differ from the complement somewhere
-            for want_equal in (False, True):
-                marks = range(num_vars + 1, num_vars + rows + 1)
-                num_vars += rows
-                for d, vi, vj in zip(marks, values[i], values[j]):
-                    if want_equal:
-                        clauses.append((-d, vi, -vj))
-                        clauses.append((-d, -vi, vj))
-                    else:
-                        clauses.append((-d, vi, vj))
-                        clauses.append((-d, -vi, -vj))
-                clauses.append(tuple(marks))
-
-    header = [
-        "c aigopt exact-synthesis query",
-        f"c n={n} k={k} tt={tt.hex()}",
-        "c rows r=0..2^n-1; row r assigns x_i = (r >> i) & 1",
-        "c gate i (1..k) sits at node n+i; fanin candidates are (j0,c0,j1,c1)",
-        "c pairs of distinct non-constant nodes (1..n=inputs, then gates), "
-        "sorted by (j0,c0,j1,c1)",
-        "c constraints: every gate but the root is read; no gate recomputes a "
-        "constant, an input or an earlier gate up to complement",
-    ]
-    for i, (cands, base, gate_vals) in enumerate(zip(candidates, sel_base, values), 1):
-        header.append(
-            f"c gate {i}: selection vars {base}..{base + len(cands) - 1} "
-            f"({len(cands)} candidates), value vars "
-            f"{gate_vals[0]}..{gate_vals[-1]}"
-        )
-    header.append(f"c output polarity var {out_var} (true = complemented)")
-    if num_vars > out_var:
-        header.append(f"c distinctness aux vars {out_var + 1}..{num_vars}")
-
-    lines = header + [f"p cnf {num_vars} {len(clauses)}"]
-    lines.extend(" ".join(str(x) for x in clause) + " 0" for clause in clauses)
-    return "\n".join(lines) + "\n"
-
-
-def decode_model(model_text: str, k: int, n: int) -> AigCircuit | None:
-    """Rebuild the circuit from a solver model for an ``encode_cnf`` query.
-
-    Accepts plain signed-integer assignments terminated by 0, optional
-    "v"/"s" DIMACS output prefixes, and an UNSAT token (returns None).
-    """
-    tokens: list[str] = []
-    for line in model_text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        parts = stripped.split()
-        if parts[0] in ("v", "s"):
-            parts = parts[1:]
-        tokens.extend(parts)
-    norm = {t.upper().rstrip(".") for t in tokens}
-    if "UNSAT" in norm or "UNSATISFIABLE" in norm:
-        return None
-    assignment: set[int] = set()
-    for t in tokens:
-        if t.upper() in ("SAT", "SATISFIABLE"):
-            continue
-        try:
-            value = int(t)
-        except ValueError:
-            raise ValueError(f"unexpected token {t!r} in model") from None
-        if value == 0:
-            continue
-        assignment.add(value)
-
-    candidates, sel_base, out_var = _cnf_layout(n, k)
-    chain = []
-    for i, (cands, base) in enumerate(zip(candidates, sel_base), 1):
-        chosen = [c for t, c in enumerate(cands) if base + t in assignment]
-        if len(chosen) != 1:
-            raise ValueError(
-                f"model inconsistent with layout: gate {i} has "
-                f"{len(chosen)} selected candidates"
-            )
-        chain.append(chosen[0])
-    return _chain_to_circuit(n, chain, complement=out_var in assignment)

@@ -119,11 +119,6 @@ def parse_hex(text: str, n: int) -> TruthTable:
     return TruthTable(n, bits)
 
 
-def const_table(n: int, value: bool) -> TruthTable:
-    t = TruthTable(n, 0)
-    return t.complement() if value else t
-
-
 def var_table(n: int, i: int) -> TruthTable:
     """Truth table of the bare variable x_i (the projection function)."""
     _check_var_count(n)

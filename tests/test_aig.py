@@ -10,7 +10,6 @@ from aigopt.aig import (
     AndGate,
     Literal,
     from_aiger,
-    input_literal,
     to_aiger,
 )
 from aigopt.truthtable import parse_hex
@@ -118,7 +117,6 @@ def test_literal_encoding():
     assert Literal(0, True).encode() == 1
     assert Literal(3, True).encode() == 7
     assert Literal.decode(7) == Literal(3, True)
-    assert input_literal(0) == Literal(1, False)
     assert ~Literal(2, False) == Literal(2, True)
 
 

@@ -14,7 +14,7 @@ from aigopt.cli import (
     build_parser,
     main,
 )
-from aigopt.store import HEADER, ResultRecord, append_record, load_store
+from aigopt.store import HEADER, ResultRecord, append_record, load_store, record_from_result
 from aigopt.synthesis import opt_size
 from aigopt.truthtable import parse_hex
 
@@ -482,10 +482,27 @@ def test_campaign_refuses_store_sharing_hex_spellings(capsys, tmp_path):
 def test_graph_and_verify_refuse_a_mixed_n_store(capsys, tmp_path, command):
     store = tmp_path / "mixed.jsonl"
     assert run(capsys, "campaign", "-n", "3", "--store", str(store))[0] == EXIT_OK
-    assert run(capsys, "synth", "0x6", "-n", "2", "--store", str(store))[0] == EXIT_OK
+    append_record(store, record_from_result(opt_size(parse_hex("0x6", 2))))
     code, out, err = run(capsys, command, "-n", "3", "--store", str(store))
     assert code == EXIT_USAGE
     assert out == "" and "error:" in err and "n=2, 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "-n", "3"], ["synth", "0x6", "-n", "3"]],
+    ids=["oracle", "synth"],
+)
+def test_store_writers_refuse_a_store_of_another_n(capsys, tmp_path, argv):
+    """Appending n=3 records to an n=2 store would leave graph and verify
+    refusing it for either n, so the writers refuse before appending."""
+    store = tmp_path / "n2.jsonl"
+    assert run(capsys, "oracle", "-n", "2", "--store", str(store))[0] == EXIT_OK
+    before = store.read_bytes()
+    code, out, err = run(capsys, *argv, "--store", str(store))
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "n=2" in err
+    assert store.read_bytes() == before
 
 
 @pytest.mark.parametrize(

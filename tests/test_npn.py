@@ -163,8 +163,9 @@ def test_orbit_maps_each_pattern_by_its_transform(classes2, classes3, classes4, 
 @given(circuits_and_transforms())
 def test_retarget_moves_a_member_circuit_onto_the_table(case):
     circuit, t = case
+    bits = circuit.evaluate().bits
     target = apply_transform(circuit.evaluate(), t)
-    moved = retarget(circuit, target)
+    moved = retarget(circuit, bits, target)
     assert moved.validate() == []
     assert moved.size() == circuit.size()
     assert moved.evaluate() == target
@@ -175,10 +176,10 @@ def test_retarget_moves_a_member_circuit_onto_the_table(case):
         if bits not in orbit_positions(target)
     )
     with pytest.raises(ValueError, match="not in the NPN orbit"):
-        retarget(circuit, outside)
+        retarget(circuit, bits, outside)
     if target.n > 1:
         with pytest.raises(ValueError, match="not in the NPN orbit"):
-            retarget(circuit, TruthTable(target.n - 1, 0))
+            retarget(circuit, bits, TruthTable(target.n - 1, 0))
 
 
 def test_walk_positions_name_every_transform_once():

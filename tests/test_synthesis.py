@@ -1,8 +1,14 @@
+import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from aigopt.aig import AndGate, Literal, from_aiger, to_aiger
+import aigopt
+from aigopt.aig import AigCircuit, AndGate, Literal, from_aiger, to_aiger
+from aigopt.cnf import decode_model, encode_cnf
 from aigopt.npn import apply_transform, canonicalize, orbit_positions
 from aigopt.synthesis import (
     MAX_GATES,
@@ -13,8 +19,6 @@ from aigopt.synthesis import (
     _gate_choices,
     _pack_sig,
     brute_oracle,
-    decode_model,
-    encode_cnf,
     exists_circuit,
     opt_size,
 )
@@ -52,6 +56,17 @@ def test_exists_zero_gates():
     assert exists_circuit(parse_hex("0xf", 2), 0).witness is not None
     assert exists_circuit(parse_hex("0xa", 2), 0).witness is not None  # x0
     assert exists_circuit(parse_hex("0x8", 2), 0).proven_infeasible
+
+
+def test_zero_gate_witness_is_the_one_literal():
+    """Constants and literals are answered at k = 0 through the orbit, and the
+    mapped circuit is the only zero-gate circuit for the table."""
+    cases = [(n, node, c) for n in range(1, 5) for node in range(n + 1) for c in (False, True)]
+    for n, node, complement in cases + [(6, 6, True)]:
+        expected = AigCircuit(n, (), Literal(node, complement))
+        outcome = exists_circuit(expected.evaluate(), 0)
+        assert (outcome.nodes_visited, outcome.proven_infeasible) == (0, False)
+        assert to_aiger(outcome.witness) == to_aiger(expected), (n, node, complement)
 
 
 def test_budget_stop_is_not_infeasibility():
@@ -337,7 +352,7 @@ def test_deterministic_witness():
 
 def test_cnf_one_gate_and_decodes():
     tt = parse_hex("0x8", 2)
-    cnf = encode_cnf(tt, 1)
+    cnf = "".join(encode_cnf(tt, 1))
     sat, model = dpll_satisfiable(cnf)
     assert sat
     circuit = decode_model(model_text(model), 1, 2)
@@ -347,7 +362,7 @@ def test_cnf_one_gate_and_decodes():
 
 
 def test_cnf_minterm_of_four_unsat_at_two_gates():
-    sat, _ = dpll_satisfiable(encode_cnf(parse_hex("0x0001", 4), 2))
+    sat, _ = dpll_satisfiable("".join(encode_cnf(parse_hex("0x0001", 4), 2)))
     assert not sat
 
 
@@ -360,18 +375,18 @@ def test_cnf_agrees_with_brute_oracle(classes2, oracle2, oracle3):
         cases.append((parse_hex(h, 3), oracle3))
     for tt, oracle in cases:
         size = oracle[tt.bits].size
-        sat, model = dpll_satisfiable(encode_cnf(tt, size))
+        sat, model = dpll_satisfiable("".join(encode_cnf(tt, size)))
         assert sat, tt.hex()
         circuit = decode_model(model_text(model), size, tt.n)
         assert circuit.size() == size, tt.hex()
         assert circuit.evaluate() == tt, tt.hex()
         if size > 1:
-            sat, _ = dpll_satisfiable(encode_cnf(tt, size - 1))
+            sat, _ = dpll_satisfiable("".join(encode_cnf(tt, size - 1)))
             assert not sat, tt.hex()
 
 
 def test_cnf_header_documents_layout():
-    cnf = encode_cnf(parse_hex("0x6", 2), 2)
+    cnf = "".join(encode_cnf(parse_hex("0x6", 2), 2))
     assert "c gate 1: selection vars" in cnf
     assert "c output polarity var" in cnf
     assert cnf.count("p cnf") == 1
@@ -386,6 +401,45 @@ def test_decode_model_rejects_inconsistent_selection():
     # all-positive assignment selects several candidates for gate 1
     with pytest.raises(ValueError):
         decode_model("1 2 3 4 0\n", 1, 2)
+
+
+def test_cnf_bytes_are_pinned():
+    """sha256 of whole queries; the layout and clause order are an interface
+    that solver models decoded by ``decode_model`` depend on."""
+    pins = {
+        ("0x8", 2, 1): "ff61dac103553076ac6335fafa45d59e7ca4ca0564125c1cefc9daa2f7ce4a2a",
+        ("0x6", 2, 3): "f2d30b531c01e520380ddb0c40b93ac9b5904b8edd0921a1e321088dbdfa62fd",
+        ("0x0169", 4, 5): "ef963db8d42ee1cc690bcd3bbd2484a79f5fbc66d43432b262054a1d16113e9e",
+    }
+    for (tt_hex, n, k), digest in pins.items():
+        text = "".join(encode_cnf(parse_hex(tt_hex, n), k))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (tt_hex, k)
+
+
+def test_cnf_export_memory_stays_flat(tmp_path):
+    """k = 12 holds ~1M clauses; the export streams them, so its peak RSS is
+    the interpreter's own, not the query's (52 MB when held in memory).
+
+    The child reads its peak from VmHWM: ``ru_maxrss`` keeps the high-water
+    mark of the process that forked it across exec, here the test runner's.
+    """
+    script = (
+        "import sys\n"
+        "from aigopt import cli\n"
+        "code = cli.main(['cnf-export', '0x6', '-n', '2', '--max-gates', '12',"
+        " '--cnf-dir', sys.argv[1]])\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, hwm.split()[1])\n"
+    )
+    src = str(Path(aigopt.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    code, maxrss_kb = map(int, done.stdout.splitlines()[-1].split())
+    assert code == 0, done.stderr
+    assert len(list(tmp_path.glob("*.cnf"))) == 12
+    assert maxrss_kb < 35 * 1024
 
 
 def test_cnf_rejects_zero_gates():

@@ -5,7 +5,6 @@ import pytest
 from aigopt.truthtable import (
     Assignment,
     TruthTable,
-    const_table,
     parse_hex,
     var_table,
 )
@@ -141,8 +140,6 @@ def test_var_and_const_tables():
         for i in range(n):
             rows = sum(1 << b for b in range(1 << n) if (b >> i) & 1)
             assert var_table(n, i) == TruthTable(n, rows)
-    assert const_table(3, False).bits == 0
-    assert const_table(3, True).bits == 0xFF
 
 
 def test_assignment_validation():
