@@ -28,24 +28,52 @@ does not use its immediate predecessor must carry a fanin signature
 lexicographically >= the predecessor's.  Every circuit has at least one
 topological order satisfying these constraints (place the smallest-signature
 ready gate first), so exhausting the canonical space is exhaustive up to
-isomorphism.  A gate's choices depend only on n, its largest fanin node m and
-the previous gate's signature, so ``_gate_choices`` caches them per (n, m) as
-pre-merged lists ``after[cut]``, one per rank of that signature.
+isomorphism.  A gate's choices depend only on n, its largest fanin node m,
+the previous gate's signature and the group of symmetries it is cut by (see
+below), so ``_gate_choices`` caches them per (n, m, group) as pre-merged
+lists ``after[cut]``, one per rank of that signature, each built on first
+use.
 
 Because any orbit member is a hit, an input transform may be applied to a
-witness before it is put in that order, and two symmetry cuts follow.  Both
-lists are built on first use and cached per n.
+witness before it is put in that order, and one symmetry cut follows for
+every gate.  This is canonical augmentation along a stabilizer chain (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).
 
 * Gate 1 is x0 AND x1.  The first gate placed reads two inputs; an input
   transform turns it into x0 AND x1, which has the smallest signature of all
-  pairs, so the greedy order places it first.
-* Gate 2 is minimal in its orbit.  Let H be the 2 * (n-2)! * 2^(n-2) input
-  transforms that fix x0 AND x1 (swap x0 and x1 or not, permute and negate
-  the other inputs).  Apply the element of H that makes the smallest
-  signature among the gates ready after gate 1 as small as possible; the
-  greedy order places that gate second, and no element of H gives it a
-  smaller signature.  So gate 2 only takes pairs whose signature is the
-  smallest in their H-orbit: 12 of the 40 pairs at n = 4.
+  pairs, so the greedy order places it first.  (Any pair over inputs is
+  minimal in its orbit under the full input group only if it is x0 AND x1;
+  building that group at n = 6 would take 46,080 maps, so the rule is
+  written out.)
+* Gate j + 1 is minimal in its orbit under S_j.  S_1 = H, the
+  2 * (n-2)! * 2^(n-2) input transforms that fix x0 AND x1 (swap x0 and x1
+  or not, permute and negate the other inputs); S_j is the subgroup of
+  S_(j-1) that also maps gate j's fanin pair to itself.  Such a transform
+  leaves the values of gates 1..j unchanged, so it acts on the pairs a later
+  gate may take.  Gate j + 1 takes only the pairs whose signature is the
+  smallest in their S_j-orbit, and carries the part of S_j that fixes it as
+  S_(j+1).  Once S_j is trivial the cut stops.  At n = 4 gate 2 keeps 8 of
+  the 40 pairs, with stabilizers of size 2, 2, 4, 4, 4, 8, 8 and 16.
+
+Why no minimum witness is lost, by induction on j.  Take a witness in greedy
+order with gate 1 = x0 AND x1.  Choose h_1 in S_1 that makes the smallest
+ready signature after gate 1 as small as possible, then h_2 in S_2 that does
+the same after gate 2, and so on, applying each in turn.  Every s in S_j
+fixes gates 1..j and maps the gates ready after gate i <= j onto the gates
+ready after gate i in the image.  Each gate i <= j was chosen minimal over
+S_(i-1), a group containing S_j and every later h, so it is still the
+smallest ready signature in the image: applying h_j keeps gates 1..j the
+greedy picks.  Gate j + 1 of the final circuit was then made the smallest
+ready signature over all of S_j, so no s in S_j gives it a smaller
+signature, which is the cut.  The last gate, the only one left, is cut the
+same way.  The transformed circuit computes another member of the orbit,
+so it is a witness in the canonical space that passes every cut.
+
+The pairs over the inputs and gate 1 have fixed values, since gate 1 is
+always x0 AND x1.  Seven of them recompute a constant, an input or gate 1
+(x0 AND x1 again; x0 AND g1, NOT x0 AND g1 and NOT x0 AND NOT g1, and the
+same with x1) and would die at the duplicate test; ``_dead_sigs`` leaves
+them out of every list.
 
 The search always applies five reductions.  Each keeps some minimum-size
 witness, because a circuit that breaks one of the first four can be made
@@ -61,8 +89,12 @@ smaller and the fifth only skips states already explored:
   function of a constant, an input or an earlier gate can be replaced by a
   (complemented) edge to that node;
 * failed-state memo — the rest of the search depends only on the gate
-  values so far, the last signature and the set of unread gates, so a state
-  once proven dead is skipped when another prefix reaches it again.  States
+  values so far, the last signature, the set of unread gates and the
+  stabilizer the next gate is placed under, so a state once proven dead is
+  skipped when another prefix reaches it again.  The key must carry the
+  stabilizer: two prefixes with equal values can have different
+  stabilizers, and a state proven dead under a larger one, which cuts more
+  pairs, may still hold a witness under a smaller one.  States
   at the second-to-last gate are not stored: each is decided by one
   closed-form last-gate step, and they would be most of the memo.
 
@@ -101,9 +133,10 @@ class Status(Enum):
     UPPER_BOUND = "upper-bound"
 
 
-# ``_gate_choices`` builds ~|pairs|^2 / 2 entries per gate node before a budget
-# can stop anything: at n = 6, peak RSS is 73 MB for 32 gates and 809 MB for 60.
-# The cap also keeps node indices inside ``_pack_sig``'s 10-bit field.
+# The cap keeps node indices inside ``_pack_sig``'s 10-bit field and sizes
+# ``_input_group``'s tables.  ``_gate_choices`` builds a rank's list when the
+# walk first reaches it: at n = 6, 32 gates with a 0.2 s budget per gate count
+# peak at 46 MB.
 MAX_GATES = 32
 
 
@@ -199,57 +232,124 @@ def _candidate_pairs(max_node: int, mask: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _gate_choices(n: int, m: int):
-    """``(sigs, after, closers)`` for a gate whose largest fanin node is m: the
-    sorted signatures of the pairs over nodes < m, and per rank ``cut`` the
-    pairs that read node m merged with those older pairs from ``cut`` on,
-    signature-sorted.  For each gate node a < m, ``closers[1 << a]`` holds the
-    pairs (a, m); ``closers[0]`` holds every pair that reads m.  Both are
-    signature-sorted and key on the unread gates other than m.
+# A stabilizer is a bitmask over ``_input_group(n)``; bit 0 is the identity,
+# so the trivial group is 1.
+_TRIVIAL = 1
 
-    Gates 1 and 2 (m = n and m = n + 1) take the symmetry-cut lists instead,
-    with no signatures, so every rank reads ``after[0]``.
+
+@lru_cache(maxsize=None)
+def _input_group(n: int):
+    """H, the input transforms that fix x0 AND x1 (swap x0 and x1 or not,
+    permute and negate the other inputs), identity first.  Each maps a
+    literal code ``(node << 1) | complement`` to its image, gate nodes to
+    themselves."""
+    maps = []
+    for first in ((1, 2), (2, 1)):
+        for rest in itertools.permutations(range(3, n + 1)):
+            node = (0, *first, *rest)
+            for neg in range(1 << (n - 2)):
+                table = list(range(2 * (n + MAX_GATES + 1)))
+                for j in range(1, n + 1):
+                    flip = (neg >> (j - 3)) & 1 if j >= 3 else 0
+                    for c in (0, 1):
+                        table[(j << 1) | c] = (node[j] << 1) | (c ^ flip)
+                maps.append(tuple(table))
+    return maps
+
+
+def _orbit_cut(n: int, pairs, stab: int) -> dict[int, tuple]:
+    """The pairs whose signature is the smallest in their orbit under
+    ``stab``, each with the subgroup of ``stab`` that fixes it appended, keyed
+    by signature."""
+    members = [(i, t) for i, t in enumerate(_input_group(n)) if (stab >> i) & 1]
+    kept = {}
+    for c in pairs:
+        sig = c[0]
+        lo, hi = sig >> 10, sig & 1023
+        fixed = 0
+        for i, t in members:
+            a, b = t[lo], t[hi]
+            image = (a << 10) | b if a < b else (b << 10) | a
+            if image < sig:
+                break
+            if image == sig:
+                fixed |= 1 << i
+        else:
+            kept[sig] = (*c[:5], fixed)
+    return kept
+
+
+class _Ranks(dict):
+    """A gate's lists per rank, each built on its first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, rank):
+        pairs = self[rank] = self.build(rank)
+        return pairs
+
+
+@lru_cache(maxsize=None)
+def _gate_choices(n: int, m: int, stab: int):
+    """``(sigs, after, closers)`` for a gate whose largest fanin node is m,
+    placed under the stabilizer ``stab``: the sorted signatures of the pairs
+    over nodes < m, and per rank ``cut`` the pairs that read node m merged
+    with those older pairs from ``cut`` on, signature-sorted.  For each gate
+    node a < m, ``closers[1 << a]`` holds the pairs (a, m); ``closers[0]``
+    holds every pair that reads m.  Both are signature-sorted and key on the
+    unread gates other than m.
+
+    Each pair is ``(sig, j0, xor0, j1, xor1, next_stab)``: the last field is
+    the stabilizer the next gate is placed under.  Under a non-trivial
+    ``stab`` only the pairs minimal in their ``stab``-orbit are kept.
+    Gate 1 (m = n) is x0 AND x1 alone, with one rank.
     """
-    mask = (1 << (1 << n)) - 1
     if m == n:
-        first = [(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0)] if n > 1 else []
-        return [], [first], {}
-    if m == n + 1:
-        second = _orbit_minimal_pairs(n, _candidate_pairs(m, mask))
-        return [], [second], {0: [c for c in second if c[3] == m]}
-    older = _candidate_pairs(m - 1, mask)
-    fresh = [c for c in _candidate_pairs(m, mask) if c[3] == m]
+        if n < 2:
+            return [], [[]], {}
+        full = (1 << len(_input_group(n))) - 1
+        return [], [[(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)]], {}
+    if stab != _TRIVIAL:
+        sigs, after, closers = _gate_choices(n, m, _TRIVIAL)
+        # One tuple per kept pair, shared by every rank's list.
+        kept = _orbit_cut(n, after[0], stab)
+
+        def cut(pairs):
+            return [kept[c[0]] for c in pairs if c[0] in kept]
+
+        return sigs, _Ranks(lambda rank: cut(after[rank])), {
+            a: cut(pairs) for a, pairs in closers.items()
+        }
+    dead = _dead_sigs(n)
+    mask = (1 << (1 << n)) - 1
+    live = [(*c, _TRIVIAL) for c in _candidate_pairs(m, mask) if c[0] not in dead]
+    older = [c for c in live if c[3] < m]
+    fresh = [c for c in live if c[3] == m]
     sigs = [c[0] for c in older]
-    after = [sorted(fresh + older[cut:]) for cut in range(len(older) + 1)]
+    after = _Ranks(lambda cut: sorted(fresh + older[cut:]))
     closers = {0: fresh}
     for a in range(n + 1, m):
         closers[1 << a] = [c for c in fresh if c[1] == a]
     return sigs, after, closers
 
 
-def _orbit_minimal_pairs(n: int, pairs):
-    """The pairs over nodes 1..n+1 whose signature is the smallest in their
-    orbit under the input transforms that fix gate 1, x0 AND x1."""
-    maps = []
-    for first in ((1, 2), (2, 1)):
-        for rest in itertools.permutations(range(3, n + 1)):
-            node = (0, *first, *rest, n + 1)
-            for neg in range(1 << (n - 2)):
-                maps.append((node, neg << 3))  # bit j negates input node j
-
-    def image_sig(node, neg, j0, c0, j1, c1):
-        a = (node[j0], c0 ^ ((neg >> j0) & 1))
-        b = (node[j1], c1 ^ ((neg >> j1) & 1))
-        return _pack_sig(*min(a, b), *max(a, b))
-
-    keep = []
-    for cand in pairs:
-        sig, j0, x0, j1, x1 = cand
-        c0, c1 = int(x0 != 0), int(x1 != 0)
-        if all(sig <= image_sig(node, neg, j0, c0, j1, c1) for node, neg in maps):
-            keep.append(cand)
-    return keep
+def _dead_sigs(n: int) -> set[int]:
+    """The pairs over x0..x(n-1) and gate 1 whose value, fixed because gate 1
+    is always x0 AND x1, is a constant, an input or gate 1 up to complement:
+    x0 AND x1 itself, and for i in {0, 1} xi AND g1 (= g1), NOT xi AND g1
+    (= 0) and NOT xi AND NOT g1 (= NOT xi)."""
+    mask = (1 << (1 << n)) - 1
+    values = [0] + [var_table(n, i).bits for i in range(n)]
+    values.append(values[1] & values[2])
+    seen = {min(v, v ^ mask) for v in values}
+    dead = set()
+    for sig, j0, x0, j1, x1 in _candidate_pairs(n + 1, mask):
+        v = (values[j0] ^ x0) & (values[j1] ^ x1)
+        if min(v, v ^ mask) in seen:
+            dead.add(sig)
+    return dead
 
 
 _MEMO_CAP = 1 << 20
@@ -288,14 +388,15 @@ def exists_circuit(
     memo: set = set()
     nodes_visited = 0
 
-    def search(node: int, prev_sig: int, no_fanout: int) -> AigCircuit | None:
-        """Place the gate at ``node``; ``no_fanout`` is a bitmask of unread gates."""
+    def search(node: int, prev_sig: int, no_fanout: int, stab: int) -> AigCircuit | None:
+        """Place the gate at ``node`` under ``stab``; ``no_fanout`` is a
+        bitmask of unread gates."""
         nonlocal nodes_visited
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
 
-        # The first two gates ignore prev_sig: their lists have one rank.
-        sigs, after, closers = _gate_choices(n, node - 1)
+        # Gate 1 ignores prev_sig: its list has one rank.
+        sigs, after, closers = _gate_choices(n, node - 1, stab)
         pairs = after[bisect_left(sigs, prev_sig)]
 
         if node == n + k:
@@ -307,7 +408,7 @@ def exists_circuit(
                 # other unread gate, which the pair must read too.
                 scan = closers[no_fanout ^ (1 << (node - 1))] if no_fanout else pairs
                 for cand in scan:
-                    _, j0, x0, j1, x1 = cand
+                    _, j0, x0, j1, x1, _ = cand
                     v = (values[j0] ^ x0) & (values[j1] ^ x1)
                     if v in targets:
                         nodes_visited += pairs.index(cand) + 1
@@ -320,7 +421,7 @@ def exists_circuit(
         memoise = node < n + k - 1
         prefix = tuple(values[n + 1 : node]) if memoise else None
         for cand in pairs:
-            sig, j0, x0, j1, x1 = cand
+            sig, j0, x0, j1, x1, nxt = cand
             nodes_visited += 1
             v = (values[j0] ^ x0) & (values[j1] ^ x1)
             vn = v if v <= v ^ mask else v ^ mask
@@ -332,7 +433,9 @@ def exists_circuit(
                 continue
 
             if memoise:
-                key = (prefix, v, sig, new_no_fanout)
+                # Equal values can come with different stabilizers, and the
+                # stabilizer decides which pairs the rest of the walk takes.
+                key = (prefix, v, sig, new_no_fanout, nxt)
                 if key in memo:
                     continue
 
@@ -340,7 +443,7 @@ def exists_circuit(
             seen.add(vn)
             chain.append(cand)
 
-            found = search(node + 1, sig, new_no_fanout)
+            found = search(node + 1, sig, new_no_fanout, nxt)
 
             chain.pop()
             seen.discard(vn)
@@ -353,18 +456,24 @@ def exists_circuit(
                 memo.add(key)
         return None
 
-    if k == 0:
-        # A constant or a literal: the orbit holds x0 whenever it holds any
-        # literal, so node 0 or node 1 answers if any zero-gate circuit does.
-        hit = next((j for j in (0, 1) if values[j] in targets), None)
-        witness = (
-            None if hit is None else retarget(AigCircuit(n, (), Literal(hit)), values[hit], tt)
-        )
-    else:
-        try:
-            witness = search(n + 1, -1, 0)
-        except _BudgetExceeded:
-            return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
+    try:
+        if k == 0:
+            # A constant or a literal: the orbit holds x0 whenever it holds
+            # any literal, so node 0 or node 1 answers if any zero-gate
+            # circuit does.
+            hit = next((j for j in (0, 1) if values[j] in targets), None)
+            witness = (
+                None if hit is None else retarget(AigCircuit(n, (), Literal(hit)), values[hit], tt)
+            )
+        else:
+            witness = search(n + 1, -1, 0, _TRIVIAL)
+    except _BudgetExceeded:
+        return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
+    finally:
+        # ``search`` reaches itself through its closure.  Breaking that cycle
+        # frees the memo and the orbit set on return, not at the next full
+        # garbage collection.
+        del search
     return ExistsOutcome(
         witness, witness is None, nodes_visited, time.monotonic() - start
     )
@@ -372,8 +481,7 @@ def exists_circuit(
 
 def _chain_to_circuit(n: int, chain, complement: bool) -> AigCircuit:
     gates = tuple(
-        AndGate(Literal(j0, bool(x0)), Literal(j1, bool(x1)))
-        for _, j0, x0, j1, x1 in chain
+        AndGate(Literal(c[1], bool(c[2])), Literal(c[3], bool(c[4]))) for c in chain
     )
     return AigCircuit(n, gates, Literal(n + len(gates), complement))
 

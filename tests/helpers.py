@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from aigopt.aig import AigCircuit, AndGate, Literal
 
 # XOR of two inputs (0x6) padded to four gates by an unread constant gate;
@@ -47,6 +49,21 @@ def random_circuit(
     else:
         out = Literal(rng.randrange(0, n + 1), rng.random() < 0.5)
     return AigCircuit(n, tuple(gates), out)
+
+
+@st.composite
+def circuits(draw, min_n: int = 1, max_n: int = 4, max_gates: int = 8) -> AigCircuit:
+    """A drawn valid circuit, like ``random_circuit`` with constant fanins
+    allowed, but shrinkable: every fanin and polarity is its own draw."""
+    n = draw(st.integers(min_n, max_n))
+    gates = []
+    for gi in range(draw(st.integers(0, max_gates))):
+        node = st.integers(0, n + gi)
+        a, ca = draw(node), draw(st.booleans())
+        b, cb = draw(node.filter(lambda b: b != a)), draw(st.booleans())
+        gates.append(AndGate.of(Literal(a, ca), Literal(b, cb)))
+    root = n + len(gates) if gates else draw(st.integers(0, n))
+    return AigCircuit(n, tuple(gates), Literal(root, draw(st.booleans())))
 
 
 # ---------------------------------------------------------------------------

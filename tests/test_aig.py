@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from aigopt.aig import (
     FALSE,
@@ -14,7 +15,7 @@ from aigopt.aig import (
 )
 from aigopt.truthtable import parse_hex
 
-from helpers import random_circuit
+from helpers import circuits, random_circuit
 
 
 def and_gate(a: int, ca: bool, b: int, cb: bool) -> AndGate:
@@ -131,11 +132,11 @@ def test_to_aiger_single_and():
     assert text == "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
 
 
-def test_aiger_round_trip_random_circuits():
-    rng = random.Random(47)
-    for _ in range(100):
-        c = random_circuit(rng, rng.randint(1, 4), 8, allow_const=True)
-        assert from_aiger(to_aiger(c)) == c
+@given(circuits())
+def test_aiger_round_trip_random_circuits(c):
+    back = from_aiger(to_aiger(c))
+    assert (back.n, back.gates, back.output) == (c.n, c.gates, c.output)
+    assert back.evaluate() == c.evaluate()
 
 
 def test_from_aiger_normalizes_fanins():

@@ -69,10 +69,11 @@ def test_synth_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["synth", "cnf-export"])
 def test_gate_cap_above_limit_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
-    def search_reached(n, m):
+    def search_reached(*args):
         raise AssertionError("the gate lists were built")
 
-    monkeypatch.setattr("aigopt.synthesis._gate_choices", search_reached)
+    for builder in ("_gate_choices", "_input_group", "_orbit_cut"):
+        monkeypatch.setattr(f"aigopt.synthesis.{builder}", search_reached)
     out_dir = tmp_path / "cnf"
     argv = [command, "0x6996966996696996", "-n", "6", "--max-gates", "33"]
     argv += ["--budget-secs", "0.01"] if command == "synth" else ["--cnf-dir", str(out_dir)]

@@ -1,15 +1,19 @@
+import gc
 import hashlib
+import itertools
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import aigopt
 from aigopt.aig import AigCircuit, AndGate, Literal, from_aiger, to_aiger
 from aigopt.cnf import decode_model, encode_cnf
-from aigopt.npn import apply_transform, canonicalize, orbit_positions
+from aigopt.npn import NpnTransform, apply_transform, canonicalize, orbit_positions
 from aigopt.synthesis import (
     MAX_GATES,
     SearchInconclusiveError,
@@ -17,6 +21,7 @@ from aigopt.synthesis import (
     SynthesisConfig,
     _candidate_pairs,
     _gate_choices,
+    _input_group,
     _pack_sig,
     brute_oracle,
     exists_circuit,
@@ -24,7 +29,7 @@ from aigopt.synthesis import (
 )
 from aigopt.truthtable import TruthTable, parse_hex, var_table
 
-from helpers import FOUR_GATE_XOR_AAG, dpll_satisfiable, model_text
+from helpers import FOUR_GATE_XOR_AAG, circuits, dpll_satisfiable, model_text
 from test_npn import random_transform
 
 
@@ -78,13 +83,27 @@ def test_budget_stop_is_not_infeasibility():
     assert outcome.budget_exhausted
 
     # The deadline is checked once per gate placed, not per candidate; the
-    # full proof visits 7,370,554 nodes.
+    # full proof visits 88,590,579 nodes.
     outcome = exists_circuit(
-        parse_hex("0x0169", 4), 6, SynthesisConfig(time_budget=0.05)
+        parse_hex("0x0169", 4), 7, SynthesisConfig(time_budget=0.05)
     )
     assert outcome.budget_exhausted
-    assert outcome.nodes_visited < 7_370_554
+    assert outcome.nodes_visited < 88_590_579
     assert outcome.elapsed < 1.0
+
+
+def test_a_query_leaves_no_garbage_cycle():
+    """Each query's memo and orbit set are freed when it returns; left in a
+    cycle they would pile up until a full collection, proof after proof."""
+    gc.collect()
+    gc.disable()
+    try:
+        for k in (0, 3):
+            exists_circuit(parse_hex("0x0169", 4), k)
+        exists_circuit(parse_hex("0x0169", 4), 6, SynthesisConfig(time_budget=0.01))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_budget_bounds_the_search_not_the_orbit_build():
@@ -281,12 +300,91 @@ def test_opt_size_size_five_orbit_members():
 
 
 def test_symmetry_cut_lists_n4():
-    """Gate 1 is x0 AND x1 alone; gate 2 keeps the 12 orbit-minimal pairs of
-    the 40 over x0..x3 and gate 1."""
-    assert _gate_choices(4, 4)[1] == [[(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0)]]
-    second = _gate_choices(4, 5)[1][0]
+    """Gate 1 is x0 AND x1 alone, placed under nothing and leaving H, the 16
+    input transforms that fix it; gate 2 keeps the 8 live orbit-minimal pairs
+    of the 40 over x0..x3 and gate 1."""
+    full = (1 << 16) - 1
+    assert _gate_choices(4, 4, 1)[1] == [[(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)]]
+    second = _gate_choices(4, 5, full)[1][0]
     assert len(_candidate_pairs(5, 0xFFFF)) == 40
-    assert len(second) == 12
+    assert len(second) == 8
+    # x0 AND x1 again, x0 AND g1, NOT x0 AND g1 and NOT x0 AND NOT g1 recompute
+    # gate 1, g1, 0 and NOT x0: they never reach the list.
+    dead = {(1, 0, 2, 0), (1, 0, 5, 0), (1, 1, 5, 0), (1, 1, 5, 1)}
+    assert not dead & {(j0, int(x0 != 0), j1, int(x1 != 0)) for _, j0, x0, j1, x1, _ in second}
+
+
+def literal_image(t, j: int, c: int) -> tuple[int, int]:
+    """Where the input transform t sends the literal (node j, complement c);
+    the constant and gate nodes stay put."""
+    if j == 0 or j > t.n:
+        return j, c
+    return t.perm[j - 1] + 1, c ^ ((t.input_neg >> (j - 1)) & 1)
+
+
+def pair_image(t, pair):
+    """The image of a fanin pair (j0, c0, j1, c1), sorted like a signature."""
+    j0, c0, j1, c1 = pair
+    return tuple(sorted([literal_image(t, j0, c0), literal_image(t, j1, c1)]))
+
+
+def test_stabilizer_chain_n4():
+    """The cut lists agree with a direct construction of H from the NPN
+    transforms: each kept pair is the smallest in its orbit under the
+    stabilizer it is placed under, and carries the subgroup that fixes it."""
+    n = 4
+    gate1 = ((1, 0), (2, 0))
+    group = [
+        NpnTransform(perm, neg, False)
+        for perm in itertools.permutations(range(n))
+        for neg in range(1 << n)
+        if pair_image(NpnTransform(perm, neg, False), (1, 0, 2, 0)) == gate1
+    ]
+    assert len(group) == len(_input_group(n)) == 16
+
+    def as_transform(table):
+        images = [table[j << 1] for j in range(1, n + 1)]
+        assert all(table[(j << 1) | 1] == table[j << 1] ^ 1 for j in range(1, n + 1))
+        assert all(table[code] == code for code in range(2 * n + 2, len(table)))
+        neg = sum((image & 1) << i for i, image in enumerate(images))
+        return NpnTransform(tuple((image >> 1) - 1 for image in images), neg, False)
+
+    order = [as_transform(table) for table in _input_group(n)]
+    assert order[0] == NpnTransform.identity(n) and set(order) == set(group)
+
+    def check(stab, base, kept):
+        """``kept`` is ``base`` cut to the pairs that are smallest in their
+        ``stab``-orbit, each with the subgroup of ``stab`` that fixes it."""
+        members = [(i, t) for i, t in enumerate(order) if (stab >> i) & 1]
+        expect = []
+        for c in base:
+            pair = (c[1], int(c[2] != 0), c[3], int(c[4] != 0))
+            images = {i: pair_image(t, pair) for i, t in members}
+            if min(images.values()) == images[0]:
+                fixed = sum(1 << i for i, image in images.items() if image == images[0])
+                expect.append((*c[:5], fixed))
+        assert kept == expect
+
+    full = (1 << 16) - 1
+    second = _gate_choices(n, n + 1, full)[1][0]
+    assert sorted(c[5].bit_count() for c in second) == [2, 2, 4, 4, 4, 8, 8, 16]
+    check(full, _gate_choices(n, n + 1, 1)[1][0], second)
+    for cand in second:
+        sigs, after, _ = _gate_choices(n, n + 2, 1)
+        rank = bisect_left(sigs, cand[0])
+        check(cand[5], after[rank], _gate_choices(n, n + 2, cand[5])[1][rank])
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(min_n=3, max_n=4, max_gates=5))
+def test_opt_size_never_exceeds_a_drawn_circuit(c):
+    """A cut that removed every minimum witness of some function would make
+    its search miss the drawn circuit's size."""
+    tt = c.evaluate()
+    result = opt_size(tt, SynthesisConfig(max_gates=c.size()))
+    assert result.size <= c.size()
+    assert result.witness.evaluate() == tt
+    assert result.witness.size() == result.size
 
 
 def test_opt_size_npn_invariant(oracle3):
@@ -303,9 +401,10 @@ def test_search_node_counts_are_pinned():
     """Exhaustive infeasibility proofs visit a fixed number of nodes; any
     change means the search space or its reductions changed."""
     pins = {
-        # Gate 1 is always x0 AND x1, so k = 1 visits one node.
-        parse_hex("0x0169", 4): (1, 13, 375, 8_117),
-        parse_hex("0x69", 3): (1, 12, 228, 3_175, 57_812),
+        # Gate 1 is always x0 AND x1, so k = 1 visits one node; gate 2 takes
+        # the 8 live orbit-minimal pairs.
+        parse_hex("0x0169", 4): (1, 9, 212, 3_779, 91_715, 2_673_642),
+        parse_hex("0x69", 3): (1, 8, 160, 2_218, 39_370),
         TruthTable(1, 0b10): (0,),  # n = 1 has no fanin pair at all
     }
     for tt, counts in pins.items():
@@ -321,20 +420,20 @@ def test_deterministic_witness():
     pins fix both.  ``None`` pins a proof instead."""
     pins = {
         ("0x0006", 5): (
-            100_288,
+            37_363,
             "aag 9 4 0 1 5\n2\n4\n6\n8\n18\n"
             "10 2 4\n12 3 5\n14 7 9\n16 11 13\n18 14 16\n",
         ),
         ("0x0001", 3): (
-            311,
+            166,
             "aag 7 4 0 1 3\n2\n4\n6\n8\n14\n10 3 5\n12 7 9\n14 10 12\n",
         ),
         ("0x8888", 1): (1, "aag 5 4 0 1 1\n2\n4\n6\n8\n10\n10 2 4\n"),
         # Found as x0 AND x1 AND x2, then moved by the orbit transform.
-        ("0x4040", 2): (12, "aag 6 4 0 1 2\n2\n4\n6\n8\n12\n10 3 4\n12 6 10\n"),
+        ("0x4040", 2): (8, "aag 6 4 0 1 2\n2\n4\n6\n8\n12\n10 3 4\n12 6 10\n"),
         # Gate 1, x0 AND x1, already computes the target: a 1-gate witness,
         # so no 2-gate circuit may close.
-        ("0x8888", 2): (13, None),
+        ("0x8888", 2): (9, None),
     }
     for (tt_hex, k), (nodes, aag) in pins.items():
         outcome = exists_circuit(parse_hex(tt_hex, 4), k)
