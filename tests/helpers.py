@@ -54,13 +54,14 @@ def random_circuit(
 @st.composite
 def circuits(draw, min_n: int = 1, max_n: int = 4, max_gates: int = 8) -> AigCircuit:
     """A drawn valid circuit, like ``random_circuit`` with constant fanins
-    allowed, but shrinkable: every fanin and polarity is its own draw."""
+    allowed, but shrinkable: every fanin and polarity is its own draw.  As
+    there, only a repeated literal is rejected, so x AND NOT x gates occur."""
     n = draw(st.integers(min_n, max_n))
     gates = []
     for gi in range(draw(st.integers(0, max_gates))):
-        node = st.integers(0, n + gi)
-        a, ca = draw(node), draw(st.booleans())
-        b, cb = draw(node.filter(lambda b: b != a)), draw(st.booleans())
+        fanin = st.tuples(st.integers(0, n + gi), st.booleans())
+        a, ca = draw(fanin)
+        b, cb = draw(fanin.filter(lambda lit: lit != (a, ca)))
         gates.append(AndGate.of(Literal(a, ca), Literal(b, cb)))
     root = n + len(gates) if gates else draw(st.integers(0, n))
     return AigCircuit(n, tuple(gates), Literal(root, draw(st.booleans())))
