@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -168,6 +167,8 @@ def _finished_outcomes(futures):
     """Each result as its class finishes.  After the first worker error, the
     classes not yet started are cancelled, those still running are yielded as
     they finish, and then the error is raised."""
+    from concurrent.futures import as_completed
+
     error = None
     for future in as_completed(futures):
         try:
@@ -217,6 +218,9 @@ def cmd_campaign(args) -> int:
         run = partial(_synth_one, n=args.n, cfg=cfg)
         outcomes = map(run, todo)
         if args.jobs > 1:
+            # Imported here: only a pooled campaign pays for the module.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
             outcomes = _finished_outcomes([pool.submit(run, tt_hex) for tt_hex in todo])
         # Each record is appended as its class finishes, so a crash loses only

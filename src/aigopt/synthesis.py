@@ -77,19 +77,32 @@ them out of every list.
 
 The search always applies five reductions.  Each keeps some minimum-size
 witness, because a circuit that breaks one of the first four can be made
-smaller and the fifth only skips states already explored:
+smaller or computes another function, and the fifth only skips states
+already explored:
 
 * no constant fanin — ``c AND x`` is the constant 0 or ``x`` itself, so the
   gate can be replaced by that node;
 * no complement pair — a gate never reads one node twice; ``x AND NOT x`` is
   the constant 0 and ``x AND x`` is ``x``;
-* every gate used — a gate that no later gate reads (and that is not the
-  output root) can be deleted;
+* every gate and every essential input read — a gate that no later gate
+  reads (and that is not the output root) can be deleted, and a circuit
+  that never reads an input its function depends on computes another
+  function.  The unread gates and inputs are kept as a pending set, and a
+  slot count prunes it: with r gates left there are 2r fanin slots, the
+  r - 1 gates left that are not the output each take one, and every pending
+  node takes one, so at most r + 1 nodes may be pending.  Inputs join the
+  set only when the target depends on all n of them.  The support size D
+  is the same for every orbit member, but which D inputs a member reads is
+  not, so when D < n no single input is known to be needed.  The same count
+  at gate 1 gives the classic floor: k gates have 2k slots, and k - 1 of
+  them read gates, so at most k + 1 inputs are read and a function of D
+  inputs needs at least D - 1 gates (Knuth, TAOCP 4A, 7.1.2).  A query
+  below that floor is proven infeasible before any node is visited;
 * no duplicate function — a gate that recomputes, up to complement, the
   function of a constant, an input or an earlier gate can be replaced by a
   (complemented) edge to that node;
 * failed-state memo — the rest of the search depends only on the gate
-  values so far, the last signature, the set of unread gates and the
+  values so far, the last signature, the pending set and the
   stabilizer the next gate is placed under, so a state once proven dead is
   skipped when another prefix reaches it again.  The key must carry the
   stabilizer: two prefixes with equal values can have different
@@ -98,16 +111,19 @@ smaller and the fifth only skips states already explored:
   at the second-to-last gate are not stored: each is decided by one
   closed-form last-gate step, and they would be most of the memo.
 
-The last gate is decided without walking its list.  It must compute an orbit
+The last gate is decided without walking its list, inside the loop of the
+second-to-last gate, with no call per decision.  It must compute an orbit
 member, and no earlier node may already compute one up to complement (that
-node would be a smaller witness).  It must also read every unread gate.
-Beyond k = 1 the gate just placed is always unread, and the slack prune
-leaves at most one other unread gate, so only the pairs that read the newest
-gate (and that other gate, if any) can close the circuit; ``closers`` lists
-them.  ``nodes_visited`` still counts what a walk of the whole list would:
-every pair up to the first that closes, which is the witness such a walk
-returns, or the whole list when none does.  The node counts therefore stay
-regression gates.
+node would be a smaller witness).  It must also read every pending node.
+Beyond k = 1 the gate just placed is always pending, and the slot count
+leaves at most one other pending node, a gate or an input, so only the pairs
+that read the newest gate (and that other node, if any) can close the
+circuit; ``closers`` lists them.  ``_last_gates`` holds, per signature of
+the second-to-last gate, the last gate's closers and list length, so a
+decision needs neither a cache lookup nor a bisect.  ``nodes_visited``
+still counts what a walk of the whole list would: every pair up to the
+first that closes, which is the witness such a walk returns, or the whole
+list when none does.  The node counts therefore stay regression gates.
 
 Because the reductions forbid redundant gates, ``exists_circuit(tt, k)`` may
 report k infeasible for k above the optimum (a constant has no witness at
@@ -136,7 +152,7 @@ class Status(Enum):
 # The cap keeps node indices inside ``_pack_sig``'s 10-bit field and sizes
 # ``_input_group``'s tables.  ``_gate_choices`` builds a rank's list when the
 # walk first reaches it: at n = 6, 32 gates with a 0.2 s budget per gate count
-# peak at 46 MB.
+# peak at 30 MB.
 MAX_GATES = 32
 
 
@@ -279,16 +295,16 @@ def _orbit_cut(n: int, pairs, stab: int) -> dict[int, tuple]:
     return kept
 
 
-class _Ranks(dict):
-    """A gate's lists per rank, each built on its first lookup."""
+class _Lazy(dict):
+    """A dict whose values are built on their first lookup."""
 
     def __init__(self, build):
         super().__init__()
         self.build = build
 
-    def __missing__(self, rank):
-        pairs = self[rank] = self.build(rank)
-        return pairs
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 @lru_cache(maxsize=None)
@@ -296,10 +312,10 @@ def _gate_choices(n: int, m: int, stab: int):
     """``(sigs, after, closers)`` for a gate whose largest fanin node is m,
     placed under the stabilizer ``stab``: the sorted signatures of the pairs
     over nodes < m, and per rank ``cut`` the pairs that read node m merged
-    with those older pairs from ``cut`` on, signature-sorted.  For each gate
-    node a < m, ``closers[1 << a]`` holds the pairs (a, m); ``closers[0]``
-    holds every pair that reads m.  Both are signature-sorted and key on the
-    unread gates other than m.
+    with those older pairs from ``cut`` on, signature-sorted.  For each input
+    or gate node a < m, ``closers[1 << a]`` holds the pairs (a, m);
+    ``closers[0]`` holds every pair that reads m.  Both are signature-sorted
+    and key on the unread nodes other than m.
 
     Each pair is ``(sig, j0, xor0, j1, xor1, next_stab)``: the last field is
     the stabilizer the next gate is placed under.  Under a non-trivial
@@ -319,7 +335,7 @@ def _gate_choices(n: int, m: int, stab: int):
         def cut(pairs):
             return [kept[c[0]] for c in pairs if c[0] in kept]
 
-        return sigs, _Ranks(lambda rank: cut(after[rank])), {
+        return sigs, _Lazy(lambda rank: cut(after[rank])), {
             a: cut(pairs) for a, pairs in closers.items()
         }
     dead = _dead_sigs(n)
@@ -328,11 +344,27 @@ def _gate_choices(n: int, m: int, stab: int):
     older = [c for c in live if c[3] < m]
     fresh = [c for c in live if c[3] == m]
     sigs = [c[0] for c in older]
-    after = _Ranks(lambda cut: sorted(fresh + older[cut:]))
+    after = _Lazy(lambda cut: sorted(fresh + older[cut:]))
     closers = {0: fresh}
-    for a in range(n + 1, m):
+    for a in range(1, m):
         closers[1 << a] = [c for c in fresh if c[1] == a]
     return sigs, after, closers
+
+
+@lru_cache(maxsize=None)
+def _last_gates(n: int, m: int, stab: int):
+    """For a second-to-last gate at node m placed under ``stab``: per
+    signature of its pairs, ``(count, pairs, closers)`` of the last gate that
+    follows it, where ``pairs`` is that gate's list and ``count`` its length.
+    Each entry is built on its first lookup."""
+    next_stab = {c[0]: c[5] for c in _gate_choices(n, m - 1, stab)[1][0]}
+
+    def build(sig):
+        sigs, after, closers = _gate_choices(n, m, next_stab[sig])
+        pairs = after[bisect_left(sigs, sig)]
+        return len(pairs), pairs, closers
+
+    return _Lazy(build)
 
 
 def _dead_sigs(n: int) -> set[int]:
@@ -383,43 +415,63 @@ def exists_circuit(
     for i in range(1, n + 1):
         v = values[i] = var_table(n, i - 1).bits
         seen.add(min(v, v ^ mask))
+    # How many inputs the target depends on, the same for every orbit member:
+    # x_i is essential when the rows with x_i = 1 differ from those with 0.
+    bits = tt.bits
+    support = sum((bits & v) >> (1 << i) != bits & ~v for i, v in enumerate(values[1 : n + 1]))
 
-    chain: list[tuple[int, int, int, int, int]] = []
+    chain: list[tuple[int, int, int, int, int, int]] = []
     memo: set = set()
     nodes_visited = 0
 
-    def search(node: int, prev_sig: int, no_fanout: int, stab: int) -> AigCircuit | None:
-        """Place the gate at ``node`` under ``stab``; ``no_fanout`` is a
-        bitmask of unread gates."""
+    def search(node: int, prev_sig: int, pending: int, stab: int) -> AigCircuit | None:
+        """Place the gate at ``node`` under ``stab``; ``pending`` is a bitmask
+        of the unread nodes that some later gate must read."""
         nonlocal nodes_visited
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
 
         # Gate 1 ignores prev_sig: its list has one rank.
-        sigs, after, closers = _gate_choices(n, node - 1, stab)
+        sigs, after, _ = _gate_choices(n, node - 1, stab)
         pairs = after[bisect_left(sigs, prev_sig)]
 
-        if node == n + k:
-            # Every pair is counted as visited up to the first that closes
-            # the circuit, or all of them when none does.
-            if seen.isdisjoint(targets_n):
-                # Beyond k = 1 the gate just placed is unread, so only pairs
-                # that read it can close; the slack prune left at most one
-                # other unread gate, which the pair must read too.
-                scan = closers[no_fanout ^ (1 << (node - 1))] if no_fanout else pairs
-                for cand in scan:
-                    _, j0, x0, j1, x1, _ = cand
-                    v = (values[j0] ^ x0) & (values[j1] ^ x1)
-                    if v in targets:
-                        nodes_visited += pairs.index(cand) + 1
-                        found = _chain_to_circuit(n, chain + [cand], complement=False)
-                        return retarget(found, v, tt)
-            nodes_visited += len(pairs)
+        if node == n + k - 1:
+            # The last gate is decided here, in closed form: it is counted as
+            # a walk of its whole list that stops at the first pair closing
+            # the circuit.  No node may already compute an orbit member.
+            last = _last_gates(n, node, stab)
+            hit_before = not seen.isdisjoint(targets_n)
+            for cand in pairs:
+                sig, j0, x0, j1, x1, _ = cand
+                nodes_visited += 1
+                v = (values[j0] ^ x0) & (values[j1] ^ x1)
+                vn = v if v <= v ^ mask else v ^ mask
+                if vn in seen:
+                    continue
+                # The gate just placed is unread; the slot bound leaves at
+                # most one other unread node, and the last gate reads both.
+                other = pending & ~((1 << j0) | (1 << j1))
+                if other & (other - 1):
+                    continue
+                count, last_pairs, closers = last[sig]
+                if hit_before or v in targets:
+                    nodes_visited += count
+                    continue
+                values[node] = v
+                for close in closers[other]:
+                    _, a0, y0, a1, y1, _ = close
+                    w = (values[a0] ^ y0) & (values[a1] ^ y1)
+                    if w in targets:
+                        nodes_visited += last_pairs.index(close) + 1
+                        found = _chain_to_circuit(n, chain + [cand, close], complement=False)
+                        return retarget(found, w, tt)
+                nodes_visited += count
             return None
 
-        slack = 2 * (n + k - node)
-        memoise = node < n + k - 1
-        prefix = tuple(values[n + 1 : node]) if memoise else None
+        # Each gate but the output is read by a later gate, and so is every
+        # pending node: with r gates left, at most r + 1 may be pending.
+        limit = n + k - node + 1
+        prefix = tuple(values[n + 1 : node])
         for cand in pairs:
             sig, j0, x0, j1, x1, nxt = cand
             nodes_visited += 1
@@ -428,32 +480,30 @@ def exists_circuit(
             if vn in seen:
                 continue
 
-            new_no_fanout = (no_fanout | (1 << node)) & ~((1 << j0) | (1 << j1))
-            if new_no_fanout.bit_count() > slack:
+            new_pending = (pending | (1 << node)) & ~((1 << j0) | (1 << j1))
+            if new_pending.bit_count() > limit:
                 continue
 
-            if memoise:
-                # Equal values can come with different stabilizers, and the
-                # stabilizer decides which pairs the rest of the walk takes.
-                key = (prefix, v, sig, new_no_fanout, nxt)
-                if key in memo:
-                    continue
+            # Equal values can come with different stabilizers, and the
+            # stabilizer decides which pairs the rest of the walk takes.
+            key = (prefix, v, sig, new_pending, nxt)
+            if key in memo:
+                continue
 
             values[node] = v
             seen.add(vn)
             chain.append(cand)
 
-            found = search(node + 1, sig, new_no_fanout, nxt)
+            found = search(node + 1, sig, new_pending, nxt)
 
             chain.pop()
             seen.discard(vn)
 
             if found is not None:
                 return found
-            if memoise:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                memo.add(key)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo.add(key)
         return None
 
     try:
@@ -465,8 +515,21 @@ def exists_circuit(
             witness = (
                 None if hit is None else retarget(AigCircuit(n, (), Literal(hit)), values[hit], tt)
             )
+        elif support > k + 1:
+            # k gates read at most k + 1 distinct inputs.
+            witness = None
+        elif k == 1:
+            # The one 1-gate circuit in the canonical space is x0 AND x1.
+            witness = None
+            for cand in _gate_choices(n, n, _TRIVIAL)[1][0]:
+                nodes_visited += 1
+                v = values[1] & values[2]
+                if v in targets and seen.isdisjoint(targets_n):
+                    witness = retarget(_chain_to_circuit(n, [cand], complement=False), v, tt)
         else:
-            witness = search(n + 1, -1, 0, _TRIVIAL)
+            # Inputs are pending only when every orbit member reads all n.
+            pending = (1 << (n + 1)) - 2 if support == n else 0
+            witness = search(n + 1, -1, pending, _TRIVIAL)
     except _BudgetExceeded:
         return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
     finally:

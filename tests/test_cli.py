@@ -72,7 +72,7 @@ def test_gate_cap_above_limit_is_a_usage_error(capsys, tmp_path, monkeypatch, co
     def search_reached(*args):
         raise AssertionError("the gate lists were built")
 
-    for builder in ("_gate_choices", "_input_group", "_orbit_cut"):
+    for builder in ("_gate_choices", "_input_group", "_orbit_cut", "_last_gates"):
         monkeypatch.setattr(f"aigopt.synthesis.{builder}", search_reached)
     out_dir = tmp_path / "cnf"
     argv = [command, "0x6996966996696996", "-n", "6", "--max-gates", "33"]
@@ -436,13 +436,11 @@ def test_campaign_rejects_jobs_below_one(capsys, tmp_path):
 def test_campaign_rejects_jobs_above_cpu_count(capsys, tmp_path, monkeypatch, cpus):
     """A forked pool starts every worker at its first submit, so --jobs is
     capped at the CPU count (1 when unknown) before any pool exists."""
-    import aigopt.cli as cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor constructed")
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     store = tmp_path / "jobs.jsonl"
     jobs = str((cpus or 1) + 1)
     code, out, err = run(capsys, "campaign", "-n", "2", "--jobs", jobs, "--store", str(store))

@@ -82,13 +82,13 @@ def test_budget_stop_is_not_infeasibility():
     assert not outcome.proven_infeasible
     assert outcome.budget_exhausted
 
-    # The deadline is checked once per gate placed, not per candidate; the
-    # full proof visits 88,590,579 nodes.
+    # The deadline is checked once per gate placed before the second-to-last,
+    # not per candidate; the full proof visits 73,150,825 nodes.
     outcome = exists_circuit(
         parse_hex("0x0169", 4), 7, SynthesisConfig(time_budget=0.05)
     )
     assert outcome.budget_exhausted
-    assert outcome.nodes_visited < 88_590_579
+    assert outcome.nodes_visited < 73_150_825
     assert outcome.elapsed < 1.0
 
 
@@ -401,10 +401,11 @@ def test_search_node_counts_are_pinned():
     """Exhaustive infeasibility proofs visit a fixed number of nodes; any
     change means the search space or its reductions changed."""
     pins = {
-        # Gate 1 is always x0 AND x1, so k = 1 visits one node; gate 2 takes
-        # the 8 live orbit-minimal pairs.
-        parse_hex("0x0169", 4): (1, 9, 212, 3_779, 91_715, 2_673_642),
-        parse_hex("0x69", 3): (1, 8, 160, 2_218, 39_370),
+        # Both depend on every input, so k <= n - 2 visits no node.  Gate 1
+        # is always x0 AND x1 and gate 2 takes the 7 live orbit-minimal pairs
+        # at n = 3, so 0x69 visits 8 nodes at k = 2.
+        parse_hex("0x0169", 4): (0, 0, 69, 1_844, 56_406, 1_962_674),
+        parse_hex("0x69", 3): (0, 8, 121, 2_018, 38_895),
         TruthTable(1, 0b10): (0,),  # n = 1 has no fanin pair at all
     }
     for tt, counts in pins.items():
@@ -414,18 +415,33 @@ def test_search_node_counts_are_pinned():
             assert outcome.nodes_visited == nodes, (tt.hex(), k)
 
 
+def test_support_floor():
+    """A function of D inputs needs D - 1 gates, so a query below that is
+    proven infeasible before any node is visited; at k = D - 1 the witness is
+    still found, whether or not D is all of n."""
+    for k in (1, 2):
+        outcome = exists_circuit(parse_hex("0x6996", 4), k)
+        assert (outcome.proven_infeasible, outcome.nodes_visited) == (True, 0), k
+    outcome = exists_circuit(parse_hex("0x4040", 4), 1)
+    assert (outcome.proven_infeasible, outcome.nodes_visited) == (True, 0)
+    for tt_hex, k in (("0x4040", 2), ("0x8888", 1), ("0x0001", 3)):
+        outcome = exists_circuit(parse_hex(tt_hex, 4), k)
+        assert outcome.witness.evaluate() == parse_hex(tt_hex, 4), tt_hex
+        assert outcome.witness.size() == k, tt_hex
+
+
 def test_deterministic_witness():
     """The first witness found depends on the candidate order and on the
     orbit transform that maps it back, unlike an infeasibility proof; these
     pins fix both.  ``None`` pins a proof instead."""
     pins = {
         ("0x0006", 5): (
-            37_363,
+            18_162,
             "aag 9 4 0 1 5\n2\n4\n6\n8\n18\n"
             "10 2 4\n12 3 5\n14 7 9\n16 11 13\n18 14 16\n",
         ),
         ("0x0001", 3): (
-            166,
+            23,
             "aag 7 4 0 1 3\n2\n4\n6\n8\n14\n10 3 5\n12 7 9\n14 10 12\n",
         ),
         ("0x8888", 1): (1, "aag 5 4 0 1 1\n2\n4\n6\n8\n10\n10 2 4\n"),
