@@ -9,9 +9,9 @@ as its class finishes) and ``cnf-export`` streams DIMACS queries to disk.
 function with its class's witness moved to it by ``npn.retarget``, from the
 class canon that witness computes.  Commands that
 enumerate NPN classes (``classify``, ``graph``, ``verify``, ``campaign``)
-accept n <= 4 only.  Exit codes: 0 success (or bound holds),
-1 usage error, 2 upper-bound/unknown result, 3 bound violation, 4 incomplete
-store.
+accept n <= 4 only.  Exit codes: 0 success (or bound holds), 1 usage error or
+a file that cannot be read or written, 2 upper-bound/unknown result, 3 bound
+violation, 4 incomplete store.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from pathlib import Path
 from .aig import from_aiger, to_aiger
 from .cnf import encode_cnf
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
-from .npn import NpnClassTable, enumerate_classes, retarget
+from .npn import enumerate_classes, retarget
 from .repair import repair_multi
 from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
-from .synthesis import SearchInconclusiveError, Status, SynthesisConfig, opt_size
+from .synthesis import MAX_GATES, SearchInconclusiveError, Status, SynthesisConfig, opt_size
 from .truthtable import TruthTable, parse_hex
 
 EXIT_OK = 0
@@ -55,35 +55,30 @@ def _human(text: str) -> None:
 
 
 def _store_path(args) -> Path | None:
-    if args.store:
-        return Path(args.store)
-    env = os.environ.get(STORE_ENV)
-    return Path(env) if env else None
+    path = args.store or os.environ.get(STORE_ENV)
+    return Path(path) if path else None
 
 
-def _load_store(path: Path, n: int) -> LoadedStore | None:
-    """Load a store, naming each rejected line on stderr; None after reporting
-    records of another n, which hex and bit keys would mistake for n's own."""
+def _required_store(args) -> Path:
+    store = _store_path(args)
+    if store is None:
+        raise ValueError(f"{args.command} requires --store or {STORE_ENV}")
+    return store
+
+
+def _load_store(path: Path, n: int) -> LoadedStore:
+    """Load a store, naming each rejected line on stderr; refuse records of
+    another n, which hex and bit keys would mistake for n's own."""
     loaded = load_store(path)
     for issue in loaded.issues:
         _human(f"store line {issue.line_number} rejected: {issue.reason}")
     found = sorted({rec.n for rec in loaded.best.values()})
     if found and found != [n]:
-        _human(
-            f"error: {path} holds records of n={', '.join(map(str, found))}, "
+        raise ValueError(
+            f"{path} holds records of n={', '.join(map(str, found))}, "
             f"not only n={n}; keep one store per n"
         )
-        return None
     return loaded
-
-
-def _class_table(n: int) -> NpnClassTable | None:
-    """All NPN classes of n, or None after reporting an unsupported n."""
-    try:
-        return enumerate_classes(n)
-    except ValueError as exc:
-        _human(f"error: {exc}")
-        return None
 
 
 def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> dict:
@@ -103,15 +98,11 @@ def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> dict:
 
 
 def cmd_synth(args) -> int:
-    try:
-        tt = parse_hex(args.tt, args.n)
-        cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
-    except ValueError as exc:
-        _human(f"error: {exc}")
-        return EXIT_USAGE
+    tt = parse_hex(args.tt, args.n)
+    cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
     store = _store_path(args)
-    if store is not None and store.exists() and _load_store(store, args.n) is None:
-        return EXIT_USAGE
+    if store is not None and store.exists():
+        _load_store(store, args.n)
 
     outcome = _synth_one(tt.hex(), args.n, cfg)
     if "error" in outcome:
@@ -133,12 +124,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cnf_export(args) -> int:
-    try:
-        tt = parse_hex(args.tt, args.n)
-        hi = SynthesisConfig(max_gates=args.max_gates).max_gates
-    except ValueError as exc:
-        _human(f"error: {exc}")
-        return EXIT_USAGE
+    tt = parse_hex(args.tt, args.n)
+    hi = SynthesisConfig(max_gates=args.max_gates).max_gates
+    if hi < 1:
+        raise ValueError(f"cnf-export needs --max-gates in 1..{MAX_GATES}, got {hi}")
     out_dir = Path(args.cnf_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -185,30 +174,18 @@ def _finished_outcomes(futures):
 
 
 def cmd_campaign(args) -> int:
-    try:
-        cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
-        # A forked pool starts all its workers at the first submit.
-        cpus = os.cpu_count() or 1
-        if not 1 <= args.jobs <= cpus:
-            raise ValueError(f"--jobs must be in 1..{cpus}, the CPU count")
-    except ValueError as exc:
-        _human(f"error: {exc}")
-        return EXIT_USAGE
-    store = _store_path(args)
-    if store is None:
-        _human("error: campaign mode requires --store or " + STORE_ENV)
-        return EXIT_USAGE
-    table = _class_table(args.n)
-    if table is None:
-        return EXIT_USAGE
+    cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
+    # A forked pool starts all its workers at the first submit.
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be in 1..{cpus}, the CPU count")
+    store = _required_store(args)
+    table = enumerate_classes(args.n)
     done: set[str] = set()
     if store.exists():
-        loaded = _load_store(store, args.n)
-        if loaded is None:
-            return EXIT_USAGE
         done = {
             rec.tt_hex
-            for rec in loaded.best.values()
+            for rec in _load_store(store, args.n).best.values()
             if rec.status == Status.EXACT.value
         }
     todo = [c.canon.hex() for c in table if c.canon.hex() not in done]
@@ -221,7 +198,9 @@ def cmd_campaign(args) -> int:
             # Imported here: only a pooled campaign pays for the module.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = ProcessPoolExecutor(max_workers=args.jobs)
+            # On any error, the classes still queued are dropped, not run.
+            stack.callback(pool.shutdown, cancel_futures=True)
             outcomes = _finished_outcomes([pool.submit(run, tt_hex) for tt_hex in todo])
         # Each record is appended as its class finishes, so a crash loses only
         # the classes still running; a worker error is raised after those.
@@ -254,9 +233,7 @@ def cmd_campaign(args) -> int:
 
 def cmd_classify(args) -> int:
     started = time.monotonic()
-    table = _class_table(args.n)
-    if table is None:
-        return EXIT_USAGE
+    table = enumerate_classes(args.n)
     elapsed = time.monotonic() - started
     rows = [
         {"class_index": c.class_index, "canon": c.canon.hex(), "orbit_size": c.orbit_size}
@@ -280,31 +257,10 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _graph_from_store(args) -> tuple[MutationGraph | None, int]:
-    store = _store_path(args)
-    if store is None or not store.exists():
-        _human("error: graph construction requires an existing --store")
-        return None, EXIT_USAGE
-    table = _class_table(args.n)
-    if table is None:
-        return None, EXIT_USAGE
-    loaded = _load_store(store, args.n)
-    if loaded is None:
-        return None, EXIT_USAGE
-    try:
-        graph = build_graph(table, loaded.by_bits())
-    except IncompleteStoreError as exc:
-        _emit(
-            {
-                "schema": "aigopt.graph/1",
-                "n": args.n,
-                "error": "incomplete-store",
-                "missing": exc.missing,
-            }
-        )
-        _human(f"store is missing {len(exc.missing)} classes: {', '.join(exc.missing[:8])} ...")
-        return None, EXIT_INCOMPLETE_STORE
-    return graph, EXIT_OK
+def _graph_from_store(args) -> MutationGraph:
+    store = _required_store(args)
+    table = enumerate_classes(args.n)
+    return build_graph(table, _load_store(store, args.n).by_bits())
 
 
 def _render_histogram(graph: MutationGraph) -> str:
@@ -318,9 +274,7 @@ def _render_histogram(graph: MutationGraph) -> str:
 
 
 def cmd_graph(args) -> int:
-    graph, code = _graph_from_store(args)
-    if graph is None:
-        return code
+    graph = _graph_from_store(args)
     edges = [
         {
             "a": graph.classes[e.a].canon.hex(),
@@ -359,9 +313,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph, code = _graph_from_store(args)
-    if graph is None:
-        return code
+    graph = _graph_from_store(args)
     report = verify_bound(graph)
     _emit(
         {
@@ -388,20 +340,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    try:
-        circuit = from_aiger(Path(args.input).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        _human(f"error: {exc}")
-        return EXIT_USAGE
-    try:
-        if args.flip is not None:
-            target = circuit.evaluate().flip_bit(args.flip)
-        else:
-            target = parse_hex(args.target, circuit.n)
-        repaired, report = repair_multi(circuit, target)
-    except ValueError as exc:
-        _human(f"error: {exc}")
-        return EXIT_USAGE
+    circuit = from_aiger(Path(args.input).read_text(encoding="utf-8"))
+    if args.flip is not None:
+        target = circuit.evaluate().flip_bit(args.flip)
+    else:
+        target = parse_hex(args.target, circuit.n)
+    repaired, report = repair_multi(circuit, target)
     out_path = Path(args.output) if args.output else Path(args.input).with_suffix(".repaired.aag")
     out_path.write_text(to_aiger(repaired), encoding="utf-8")
     _emit(
@@ -424,12 +368,9 @@ def cmd_repair(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    store = _store_path(args)
-    if store is None:
-        _human("error: oracle mode requires --store or " + STORE_ENV)
-        return EXIT_USAGE
-    if store.exists() and _load_store(store, args.n) is None:
-        return EXIT_USAGE
+    store = _required_store(args)
+    if store.exists():
+        _load_store(store, args.n)
     started = time.monotonic()
     table = enumerate_classes(args.n)
     solved = [opt_size(c.canon) for c in table]
@@ -542,12 +483,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place an error becomes an exit code.  Bad
+    input or a file that cannot be read or written prints one ``error:`` line
+    and exits 1, an incomplete store exits 4, any other error propagates."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IncompleteStoreError as exc:
+        _emit(
+            {
+                "schema": "aigopt.graph/1",
+                "n": args.n,
+                "error": "incomplete-store",
+                "missing": exc.missing,
+            }
+        )
+        _human(f"store is missing {len(exc.missing)} classes: {', '.join(exc.missing[:8])} ...")
+        return EXIT_INCOMPLETE_STORE
+    except (ValueError, OSError) as exc:
+        _human(f"error: {exc}")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

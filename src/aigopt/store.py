@@ -10,7 +10,7 @@ dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,6 +38,16 @@ class ResultRecord:
 
     def verify(self) -> None:
         """Raise ValueError unless the record is internally consistent."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # Exact types: a bool is an int, and 1.0 == 1 would pass the checks below.
+            if type(value) is not {"int": int, "str": str}[field.type]:
+                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+        if not -1 <= self.exhausted_below <= self.size - 1:
+            raise ValueError(
+                f"exhausted_below must be in -1..size-1, got {self.exhausted_below} "
+                f"with size {self.size}"
+            )
         tt = parse_hex(self.tt_hex, self.n)
         status = Status(self.status)
         witness = from_aiger(self.witness_aag)

@@ -83,6 +83,16 @@ def test_gate_cap_above_limit_is_a_usage_error(capsys, tmp_path, monkeypatch, co
     assert not out_dir.exists()
 
 
+def test_cnf_export_needs_one_gate_or_more(capsys, tmp_path):
+    out_dir = tmp_path / "cnf"
+    code, out, err = run(
+        capsys, "cnf-export", "0x6", "-n", "2", "--max-gates", "0", "--cnf-dir", str(out_dir)
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "1..32" in err
+    assert not out_dir.exists()
+
+
 def test_synth_inconclusive_exit(capsys):
     code, out, _ = run(capsys, "synth", "0x6", "-n", "2", "--max-gates", "2")
     assert code == EXIT_UPPER_BOUND
@@ -385,6 +395,39 @@ def test_parallel_campaign_keeps_finished_classes_after_a_worker_error(tmp_path,
     assert len(finished) < 13  # some of the 13 other classes never started
 
 
+def test_parent_side_error_cancels_the_queued_classes(capsys, tmp_path, monkeypatch):
+    """A failed append shuts the pool down at once: the classes still queued
+    never start, and the error exits 1 instead of waiting for all 14."""
+    import time
+
+    import aigopt.cli as cli
+
+    real_opt_size = cli.opt_size
+    markers = tmp_path / "started"
+    markers.mkdir()
+
+    def slow(tt, cfg):
+        (markers / tt.hex()).touch()
+        time.sleep(0.2)
+        return real_opt_size(tt, cfg)
+
+    appended = []
+
+    def fail_second_append(path, record):
+        appended.append(record)
+        if len(appended) == 2:
+            raise OSError("simulated disk full")
+
+    monkeypatch.setattr(cli, "opt_size", slow)  # inherited by forked workers
+    monkeypatch.setattr(cli, "append_record", fail_second_append)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    store = tmp_path / "s.jsonl"
+    code, out, err = run(capsys, "campaign", "-n", "3", "--jobs", "2", "--store", str(store))
+    assert code == EXIT_USAGE
+    assert out == "" and "error: simulated disk full" in err
+    assert len(list(markers.iterdir())) < 14
+
+
 def test_campaign_parallel_jobs(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     store = tmp_path / "campaign3.jsonl"
@@ -526,6 +569,32 @@ def test_class_enumeration_rejects_n_above_four(capsys, tmp_path, monkeypatch, a
     assert code == EXIT_USAGE
     assert out == ""
     assert "error:" in err and "1..4" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "0x6", "-n", "2", "--store", "{missing}/s.jsonl"],
+        ["campaign", "-n", "2", "--store", "{missing}/s.jsonl"],
+        ["oracle", "-n", "2", "--store", "{missing}/s.jsonl"],
+        ["cnf-export", "0x6", "-n", "2", "--max-gates", "1", "--cnf-dir", "{file}"],
+        ["graph", "-n", "2", "--store", "{directory}"],
+        ["repair", "{aag}", "--flip", "0", "-o", "{missing}/r.aag"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_file_errors_exit_with_one_error_line(capsys, tmp_path, argv):
+    """A path that cannot be read or written is a usage error named on
+    stderr, never a traceback, and no JSON document is printed."""
+    aag = tmp_path / "c.aag"
+    aag.write_text(to_aiger(opt_size(parse_hex("0x8", 2)).witness))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "directory").mkdir()
+    paths = {name: tmp_path / name for name in ("missing", "file", "directory")}
+    code, out, err = run(capsys, *(arg.format(aag=aag, **paths) for arg in argv))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: [Errno ")
 
 
 def test_cli_option_surface(capsys):

@@ -101,13 +101,15 @@ def tying_records(draw):
     for _ in range(draw(st.integers(1, 10))):
         circuit = random_circuit(random.Random(draw(st.integers(0, 7))), 2, 3)
         exact = draw(st.booleans())
+        # exhausted_below <= size - 1: a gate-free witness proves nothing infeasible.
+        most_proven = min(0, circuit.size() - 1)
         records.append(
             ResultRecord(
                 tt_hex=circuit.evaluate().hex(),
                 n=2,
                 size=circuit.size(),
                 status=(Status.EXACT if exact else Status.UPPER_BOUND).value,
-                exhausted_below=circuit.size() - 1 if exact else draw(st.integers(-1, 0)),
+                exhausted_below=circuit.size() - 1 if exact else draw(st.integers(-1, most_proven)),
                 witness_aag=to_aiger(circuit),
                 backend=draw(st.sampled_from(["enum", "oracle"])),
                 elapsed_ms=draw(st.integers(0, 1)),
@@ -140,6 +142,26 @@ def test_corrupt_line_reported_with_number(tmp_path):
     loaded = load_store(path)
     assert len(loaded.best) == 1
     assert [issue.line_number for issue in loaded.issues] == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"timestamp": 5}, {"size": 1.0, "exhausted_below": 0.0}],
+    ids=["int-timestamp", "float-size"],
+)
+def test_mistyped_line_reported_with_number(tmp_path, overrides):
+    """An int timestamp on a line tying the first on status and size would
+    reach ``_rank``'s comparison; a float size equals the witness's count."""
+    path = tmp_path / "store.jsonl"
+    record = record_from_result(opt_size(parse_hex("0x8", 2)))
+    assert (record.size, record.exhausted_below) == (1, 0)
+    append_record(path, record)
+    with path.open("a") as fh:
+        fh.write(json.dumps(asdict(record) | overrides) + "\n")
+    loaded = load_store(path)
+    assert [issue.line_number for issue in loaded.issues] == [3]
+    assert next(iter(overrides)) in loaded.issues[0].reason
+    assert loaded.best == {record.tt_hex: record}
 
 
 def test_tampered_witness_rejected_at_load(tmp_path):
@@ -186,7 +208,7 @@ def test_bulk_round_trip_random_circuits(tmp_path):
             n=c.n,
             size=c.size(),
             status=Status.UPPER_BOUND.value,
-            exhausted_below=0,
+            exhausted_below=-1,
             witness_aag=to_aiger(c),
             backend="enum",
             elapsed_ms=i,
