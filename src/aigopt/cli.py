@@ -17,6 +17,7 @@ violation, 4 incomplete store.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -55,8 +56,17 @@ def _human(text: str) -> None:
 
 
 def _store_path(args) -> Path | None:
+    """The store path, if one is given.  Its directory is checked here, before
+    any search, so that a store that cannot be written is refused at once,
+    not at the first append after the search has run."""
     path = args.store or os.environ.get(STORE_ENV)
-    return Path(path) if path else None
+    if not path:
+        return None
+    path = Path(path)
+    if not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path.parent))
+    return path
 
 
 def _required_store(args) -> Path:

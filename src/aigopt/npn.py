@@ -3,20 +3,27 @@
 The canonical representative of a class is the lexicographically smallest
 bit pattern over the full orbit of 2 * 2^n * n! transforms.  One walk meets
 them all in a fixed order, so a walk position names a transform
-(``walk_transform``).  ``orbit_positions`` is the one orbit table: it maps
-each pattern to the first position that meets it, does the same work for
-every function of n inputs whatever its orbit size, and keeps the last two
-tables.  ``canonicalize`` takes its minimum, and ``retarget`` moves a circuit
-for any orbit member back to the table the orbit was taken from; the search
-and the ``oracle`` command both map their witnesses with it, each passing the
-pattern it already knows the circuit computes.  Enumeration
-walks all 2^(2^n) functions in ascending pattern order and marks whole
-orbits, so the first unmarked function met is automatically canonical.
+(``walk_transform``).  The walk is built on one packed integer, one slot per
+position: each permutation's table and its complement are placed once, and
+each input negation is one shift-and-mask step over the whole integer
+(``_walk_patterns``, with the masks of ``_walk_plan`` kept per n).
+``orbit`` gives the one orbit table, an ``Orbit``: the walk as an array and
+the set of its members.  It does the same work for every function of n
+inputs whatever its orbit size, and keeps the last two.  ``canonicalize``
+takes the least member and its first walk position, and ``retarget`` moves a
+circuit for any orbit member back to the table the orbit was taken from; the
+search and the ``oracle`` command both map their witnesses with it, each
+passing the pattern it already knows the circuit computes.  The search tests
+its candidates against the same member set.  Enumeration walks all 2^(2^n)
+functions in ascending pattern order and marks whole orbits, so the first
+unmarked function met is automatically canonical.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,40 +123,74 @@ def _perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(n)))
 
 
-def _walk_patterns(n: int, bits: int) -> list[int]:
-    """Every table the orbit walk of ``bits`` meets, repeats included: per
-    permutation of ``_perms(n)``, 2^n tables with the inputs permuted and then,
-    for each set bit p of the offset, the input at position p negated; then
-    their complements.  Offset 0 of the first block is the identity's.  Each
-    input swap or negation moves blocks of rows with a mask and a shift.
-    """
+@lru_cache(maxsize=None)
+def _walk_plan(n: int) -> tuple[int, str, tuple, tuple[int, ...]]:
+    """What every orbit walk of n-input tables shares: the slot width in bits
+    and its array typecode; for each permutation of ``_perms(n)``, the input
+    swaps that make it, each as (shift, rows kept, rows moved up); and for
+    each input position p, the rows with x_p = 1 repeated over every slot of
+    the packed walk."""
     var = [var_table(n, i).bits for i in range(n)]
     mask = (1 << (1 << n)) - 1
-    out: list[int] = []
+    swap = {}
+    for lo, hi in itertools.combinations(range(n), 2):
+        shift = (1 << hi) - (1 << lo)
+        low = var[lo] & ~var[hi]  # rows with x_lo = 1, x_hi = 0
+        swap[lo, hi] = swap[hi, lo] = (shift, mask & ~(low | (low << shift)), low)
+    swaps = []
     for perm in _perms(n):
         # Swap positions until input i sits at perm[i]; at[p] is the input
         # now at position p.
-        moved = bits
         at = list(range(n))
-        for i in range(n):
-            a, b = at.index(i), perm[i]
+        steps = []
+        for i, b in enumerate(perm):
+            a = at.index(i)
             if a != b:
-                lo, hi = min(a, b), max(a, b)
-                shift = (1 << hi) - (1 << lo)
-                low = var[lo] & ~var[hi]  # rows with x_lo = 1, x_hi = 0
-                moved = (
-                    (moved & ~(low | (low << shift)))
-                    | ((moved & low) << shift)
-                    | ((moved >> shift) & low)
-                )
+                steps.append(swap[a, b])
                 at[a], at[b] = at[b], at[a]
-        tables = [moved]
-        for p in range(n):
-            step, ones = 1 << p, var[p]  # rows with x_p = 1
-            tables += [((t & ones) >> step) | ((t << step) & ones) for t in tables]
-        out += tables
-        out += [t ^ mask for t in tables]
-    return out
+        swaps.append(tuple(steps))
+    width = max(8, 1 << n)
+    typecode = next(c for c in "BHILQ" if array(c).itemsize * 8 == width)
+    slots = len(swaps) << (n + 1)
+    # Adding 2^(p-1) to a row flips x_p exactly when x_{p-1} = 1, so each
+    # mask is the next one XOR itself shifted: one repeat of bytes in all.
+    ones = [int.from_bytes(var[-1].to_bytes(width // 8, "little") * slots, "little")]
+    for p in range(n - 1, 0, -1):
+        ones.append(ones[-1] ^ (ones[-1] >> (1 << (p - 1))))
+    return width, typecode, tuple(swaps), tuple(reversed(ones))
+
+
+def _walk_patterns(n: int, bits: int) -> array:
+    """Every table the orbit walk of ``bits`` meets, repeats included: per
+    permutation of ``_perms(n)``, 2^n tables with the inputs permuted and then,
+    for each set bit p of the offset, the input at position p negated; then
+    their complements.  Offset 0 of the first block is the identity's.
+
+    The walk is built as one integer of ``_walk_plan`` slots.  Each
+    permutation's table and its complement go into the first slot of each
+    half of its block; each input negation is then one shift-and-mask step
+    over the whole integer that doubles the filled slots of every half.
+    """
+    width, typecode, swaps, ones = _walk_plan(n)
+    mask = (1 << (1 << n)) - 1
+    half = width << n
+    blocks = []
+    for steps in swaps:
+        t = bits
+        for shift, keep, low in steps:
+            t = (t & keep) | ((t & low) << shift) | ((t >> shift) & low)
+        blocks.append((t | ((t ^ mask) << half)).to_bytes(half // 4, "little"))
+    walk_bytes = b"".join(blocks)
+    packed = int.from_bytes(walk_bytes, "little")
+    for p, ones_p in enumerate(ones):
+        # Slot s + 2^p takes slot s with the input at position p negated: its
+        # rows with x_p = 1 move down, those with x_p = 0 move up.
+        step, gap = 1 << p, width << p
+        packed |= ((packed & ones_p) << (gap - step)) | ((packed << (gap + step)) & ones_p)
+    walk = array(typecode, packed.to_bytes(len(walk_bytes), "little"))
+    if sys.byteorder == "big":
+        walk.byteswap()
+    return walk
 
 
 def walk_transform(n: int, position: int) -> NpnTransform:
@@ -161,39 +202,46 @@ def walk_transform(n: int, position: int) -> NpnTransform:
     return NpnTransform(perm, neg, bool(block & 1))
 
 
-@lru_cache(maxsize=2)
-def orbit_positions(tt: TruthTable) -> dict[int, int]:
-    """Every pattern in the NPN orbit of ``tt``, each mapped to the first
-    walk position that meets it; ``walk_transform`` turns that into a
-    transform, and ``tt`` itself sits at position 0, the identity.
+@dataclass(frozen=True, slots=True)
+class Orbit:
+    """The NPN orbit of one table.  ``walk`` holds every table the orbit walk
+    meets, in walk order and with repeats, so position i is made by
+    ``walk_transform(n, i)``; ``members`` holds each distinct table once."""
 
-    The dict is built in one pass over all 2 * n! * 2^n walk tables, so its
-    cost does not depend on how many of them are distinct.  A query asks at
-    every gate count, after ``canonicalize`` may have asked, so the last two
-    are kept; callers share the dict and must not change it.
+    walk: array
+    members: frozenset[int]
+
+
+@lru_cache(maxsize=2)
+def orbit(tt: TruthTable) -> Orbit:
+    """The orbit of ``tt``; ``tt`` itself sits at walk position 0, the identity.
+
+    The walk visits all 2 * n! * 2^n transforms, so its cost does not depend
+    on how many of its tables are distinct.  A query asks at every gate
+    count, after ``canonicalize`` may have asked, so the last two orbits are
+    kept; callers share them and must not change them.
     """
-    patterns = _walk_patterns(tt.n, tt.bits)
-    # Later pairs overwrite earlier ones, so walking backwards keeps the first.
-    return dict(zip(reversed(patterns), range(len(patterns) - 1, -1, -1)))
+    walk = _walk_patterns(tt.n, tt.bits)
+    return Orbit(walk, frozenset(walk))
 
 
 def canonicalize(tt: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """Minimum bit pattern over the orbit, plus a transform reaching it."""
-    positions = orbit_positions(tt)
-    best = min(positions)
-    return TruthTable(tt.n, best), walk_transform(tt.n, positions[best])
+    o = orbit(tt)
+    best = min(o.members)
+    return TruthTable(tt.n, best), walk_transform(tt.n, o.walk.index(best))
 
 
 def retarget(circuit: AigCircuit, bits: int, tt: TruthTable) -> AigCircuit:
     """``circuit``, which computes ``bits``, a member of ``tt``'s NPN orbit,
-    moved by the inverse of that member's walk transform: a circuit of the same
-    size for ``tt``.  The caller vouches for ``bits``; the circuit is not
-    simulated.  Raises ValueError when ``bits`` is no orbit member or the
-    circuit's n differs from ``tt``'s."""
-    position = orbit_positions(tt).get(bits) if circuit.n == tt.n else None
-    if position is None:
+    moved by the inverse of the transform at that member's first walk
+    position: a circuit of the same size for ``tt``.  The caller vouches for
+    ``bits``; the circuit is not simulated.  Raises ValueError when ``bits``
+    is no orbit member or the circuit's n differs from ``tt``'s."""
+    o = orbit(tt) if circuit.n == tt.n else None
+    if o is None or bits not in o.members:
         raise ValueError(f"0x{bits:x} (n={circuit.n}) is not in the NPN orbit of {tt.hex()}")
-    return transform_circuit(circuit, walk_transform(tt.n, position).inverse())
+    return transform_circuit(circuit, walk_transform(tt.n, o.walk.index(bits)).inverse())
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ external SAT solver, with this module's candidate order.
 
 The target is the orbit.  Input negation, input permutation and output
 negation never change a circuit's gate count, so a k-gate circuit for any
-member of the target's NPN orbit (``npn.orbit_positions``) answers the
+member of the target's NPN orbit (``npn.orbit(tt).members``) answers the
 query: the search accepts a last gate whose value lies in the orbit, then
 ``npn.retarget`` maps the witness back to the target.  At k = 0 the constant
 0 or the input x0 is the witness when it lies in the orbit.
@@ -140,7 +140,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .aig import AigCircuit, AndGate, Literal
-from .npn import orbit_positions, retarget
+from .npn import orbit, retarget
 from .truthtable import TruthTable, var_table
 
 
@@ -401,12 +401,10 @@ def exists_circuit(
     n = tt.n
     mask = tt.mask
     # The orbit is built before the clock starts: the budget bounds the
-    # search, not this fixed set-up (~60 ms at n = 6) that every k shares.
-    # It is closed under complement, so the set of its patterns also holds
-    # every pattern normalized up to complement; the last-gate test runs
-    # faster against a set than against the dict's keys.
-    targets = orbit_positions(tt)
-    targets_n = frozenset(targets)
+    # search, not this fixed set-up (~15 ms at n = 6) that every k shares.
+    # It is closed under complement, so its member set also holds every
+    # pattern normalized up to complement.
+    targets = orbit(tt).members
     start = time.monotonic()
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
 
@@ -440,7 +438,7 @@ def exists_circuit(
             # a walk of its whole list that stops at the first pair closing
             # the circuit.  No node may already compute an orbit member.
             last = _last_gates(n, node, stab)
-            hit_before = not seen.isdisjoint(targets_n)
+            hit_before = not seen.isdisjoint(targets)
             for cand in pairs:
                 sig, j0, x0, j1, x1, _ = cand
                 nodes_visited += 1
@@ -524,7 +522,7 @@ def exists_circuit(
             for cand in _gate_choices(n, n, _TRIVIAL)[1][0]:
                 nodes_visited += 1
                 v = values[1] & values[2]
-                if v in targets and seen.isdisjoint(targets_n):
+                if v in targets and seen.isdisjoint(targets):
                     witness = retarget(_chain_to_circuit(n, [cand], complement=False), v, tt)
         else:
             # Inputs are pending only when every orbit member reads all n.

@@ -597,6 +597,28 @@ def test_file_errors_exit_with_one_error_line(capsys, tmp_path, argv):
     assert err.splitlines()[-1].startswith("error: [Errno ")
 
 
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize(
+    "argv",
+    [["synth", "0x6", "-n", "2"], ["campaign", "-n", "2"], ["oracle", "-n", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_store_directory_checked_before_any_search(capsys, tmp_path, monkeypatch, argv, parent):
+    """A store whose directory is missing, or is a file, is refused before
+    the search runs, naming the directory."""
+
+    def search_reached(*args, **kwargs):
+        raise AssertionError("opt_size ran before the store directory was checked")
+
+    monkeypatch.setattr("aigopt.cli.opt_size", search_reached)
+    (tmp_path / "file").write_text("")
+    code, out, err = run(capsys, *argv, "--store", str(tmp_path / parent / "s.jsonl"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: [Errno ") and last.endswith(f"'{tmp_path / parent}'")
+
+
 def test_cli_option_surface(capsys):
     """Every subcommand's options and choices; a new or revived flag shows here."""
     parser = build_parser()

@@ -11,7 +11,7 @@ from aigopt.npn import (
     apply_transform,
     canonicalize,
     enumerate_classes,
-    orbit_positions,
+    orbit,
     retarget,
     transform_circuit,
     walk_transform,
@@ -152,12 +152,27 @@ def test_orbit_maps_each_pattern_by_its_transform(classes2, classes3, classes4, 
     n = data.draw(st.integers(1, 4))
     tt = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     table = {1: enumerate_classes(1), 2: classes2, 3: classes3, 4: classes4}[n]
-    positions = orbit_positions(tt)
-    assert positions[tt.bits] == 0
+    walk = orbit(tt).walk
+    assert len(walk) == (2 * math.factorial(n)) << n
     assert walk_transform(n, 0) == NpnTransform.identity(n)
-    for pattern, position in positions.items():
+    # Every position, repeats included: retarget and canonicalize name a
+    # member by its first position, but the walk order is what they rely on.
+    for position, pattern in enumerate(walk):
         assert apply_transform(tt, walk_transform(n, position)).bits == pattern
-    assert len(positions) == table[table.classify(tt)].orbit_size
+    assert orbit(tt).members == set(walk)
+    assert len(orbit(tt).members) == table[table.classify(tt)].orbit_size
+
+
+def test_sampled_walk_positions_hold_their_transforms_above_four_inputs():
+    rng = random.Random(37)
+    for n in (5, 6):
+        for _ in range(3):
+            tt = TruthTable(n, rng.randrange(1 << (1 << n)))
+            walk = orbit(tt).walk
+            assert len(walk) == (2 * math.factorial(n)) << n
+            ends = [0, (1 << n) - 1, 1 << n, len(walk) - 1]
+            for position in ends + rng.sample(range(len(walk)), 200):
+                assert apply_transform(tt, walk_transform(n, position)).bits == walk[position]
 
 
 @given(circuits_and_transforms())
@@ -173,7 +188,7 @@ def test_retarget_moves_a_member_circuit_onto_the_table(case):
     outside = next(
         TruthTable(target.n, bits)
         for bits in range(1 << target.rows)
-        if bits not in orbit_positions(target)
+        if bits not in orbit(target).members
     )
     with pytest.raises(ValueError, match="not in the NPN orbit"):
         retarget(circuit, bits, outside)
@@ -188,8 +203,9 @@ def test_walk_positions_name_every_transform_once():
         count = (2 * math.factorial(n)) << n
         assert len({walk_transform(n, i) for i in range(count)}) == count
         tt = TruthTable(n, rng.randrange(1 << (1 << n)))
-        for pattern, position in orbit_positions(tt).items():
-            assert brute_apply(tt, walk_transform(n, position)).bits == pattern
+        walk = orbit(tt).walk
+        for pattern in orbit(tt).members:
+            assert brute_apply(tt, walk_transform(n, walk.index(pattern))).bits == pattern
 
 
 def test_class_counts_small(classes2, classes3):
