@@ -14,7 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .aig import from_aiger
+from .aig import from_aiger, to_aiger
 from .synthesis import OptResult, Status
 from .truthtable import parse_hex
 
@@ -49,6 +49,9 @@ class ResultRecord:
                 f"with size {self.size}"
             )
         tt = parse_hex(self.tt_hex, self.n)
+        # The store keys records by this text, so one table has one spelling.
+        if self.tt_hex != tt.hex():
+            raise ValueError(f"tt_hex {self.tt_hex!r} is not spelled {tt.hex()!r}")
         status = Status(self.status)
         witness = from_aiger(self.witness_aag)
         if witness.evaluate() != tt:
@@ -67,8 +70,6 @@ class ResultRecord:
 
 
 def record_from_result(result: OptResult) -> ResultRecord:
-    from .aig import to_aiger
-
     return ResultRecord(
         tt_hex=result.tt.hex(),
         n=result.tt.n,

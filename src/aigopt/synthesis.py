@@ -75,10 +75,9 @@ always x0 AND x1.  Seven of them recompute a constant, an input or gate 1
 same with x1) and would die at the duplicate test; ``_dead_sigs`` leaves
 them out of every list.
 
-The search always applies five reductions.  Each keeps some minimum-size
-witness, because a circuit that breaks one of the first four can be made
-smaller or computes another function, and the fifth only skips states
-already explored:
+The search always applies four reductions.  Each keeps some minimum-size
+witness, because a circuit that breaks one of them can be made smaller or
+computes another function:
 
 * no constant fanin — ``c AND x`` is the constant 0 or ``x`` itself, so the
   gate can be replaced by that node;
@@ -101,15 +100,6 @@ already explored:
 * no duplicate function — a gate that recomputes, up to complement, the
   function of a constant, an input or an earlier gate can be replaced by a
   (complemented) edge to that node;
-* failed-state memo — the rest of the search depends only on the gate
-  values so far, the last signature, the pending set and the
-  stabilizer the next gate is placed under, so a state once proven dead is
-  skipped when another prefix reaches it again.  The key must carry the
-  stabilizer: two prefixes with equal values can have different
-  stabilizers, and a state proven dead under a larger one, which cuts more
-  pairs, may still hold a witness under a smaller one.  States
-  at the second-to-last gate are not stored: each is decided by one
-  closed-form last-gate step, and they would be most of the memo.
 
 The last gate is decided without walking its list, inside the loop of the
 second-to-last gate, with no call per decision.  It must compute an orbit
@@ -384,9 +374,6 @@ def _dead_sigs(n: int) -> set[int]:
     return dead
 
 
-_MEMO_CAP = 1 << 20
-
-
 def exists_circuit(
     tt: TruthTable, k: int, cfg: SynthesisConfig = DEFAULT_CONFIG
 ) -> ExistsOutcome:
@@ -419,7 +406,6 @@ def exists_circuit(
     support = sum((bits & v) >> (1 << i) != bits & ~v for i, v in enumerate(values[1 : n + 1]))
 
     chain: list[tuple[int, int, int, int, int, int]] = []
-    memo: set = set()
     nodes_visited = 0
 
     def search(node: int, prev_sig: int, pending: int, stab: int) -> AigCircuit | None:
@@ -469,7 +455,6 @@ def exists_circuit(
         # Each gate but the output is read by a later gate, and so is every
         # pending node: with r gates left, at most r + 1 may be pending.
         limit = n + k - node + 1
-        prefix = tuple(values[n + 1 : node])
         for cand in pairs:
             sig, j0, x0, j1, x1, nxt = cand
             nodes_visited += 1
@@ -480,12 +465,6 @@ def exists_circuit(
 
             new_pending = (pending | (1 << node)) & ~((1 << j0) | (1 << j1))
             if new_pending.bit_count() > limit:
-                continue
-
-            # Equal values can come with different stabilizers, and the
-            # stabilizer decides which pairs the rest of the walk takes.
-            key = (prefix, v, sig, new_pending, nxt)
-            if key in memo:
                 continue
 
             values[node] = v
@@ -499,9 +478,6 @@ def exists_circuit(
 
             if found is not None:
                 return found
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo.add(key)
         return None
 
     try:
@@ -532,8 +508,8 @@ def exists_circuit(
         return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
     finally:
         # ``search`` reaches itself through its closure.  Breaking that cycle
-        # frees the memo and the orbit set on return, not at the next full
-        # garbage collection.
+        # frees the search's state and the orbit set on return, not at the
+        # next full garbage collection.
         del search
     return ExistsOutcome(
         witness, witness is None, nodes_visited, time.monotonic() - start

@@ -9,9 +9,11 @@ AIGER export.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 MAX_VARS = 6
+_HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 
 
 def _check_var_count(n: int) -> None:
@@ -110,10 +112,10 @@ def parse_hex(text: str, n: int) -> TruthTable:
         body = body[2:]
     if not body:
         raise ValueError(f"empty hex literal {text!r}")
-    try:
-        bits = int(body, 16)
-    except ValueError:
-        raise ValueError(f"malformed hex literal {text!r}") from None
+    # int(body, 16) alone would also take a sign, inner spaces and underscores.
+    if not _HEX_DIGITS.fullmatch(body):
+        raise ValueError(f"malformed hex literal {text!r}")
+    bits = int(body, 16)
     if bits >= (1 << (1 << n)):
         raise ValueError(f"value {text!r} exceeds {1 << n} bits (n={n})")
     return TruthTable(n, bits)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aigopt.aig import to_aiger
+from aigopt.aig import AigCircuit, AndGate, Literal, from_aiger, to_aiger
 from aigopt.store import (
     HEADER,
     ResultRecord,
@@ -82,6 +82,34 @@ def test_smaller_size_wins_within_status(tmp_path):
     append_record(path, big)
     append_record(path, small)
     assert load_store(path).best[small.tt_hex].size == 3
+
+
+@pytest.mark.parametrize("upper_first", [True, False])
+def test_one_table_has_one_spelling(tmp_path, upper_first):
+    """0x6 and 0x06 parse to one n=3 table; were both accepted, they would
+    escape dominance and line order would decide which record wins."""
+    exact = record_from_result(opt_size(parse_hex("0x06", 3)))
+    assert (exact.tt_hex, exact.size, exact.status) == ("0x06", 4, Status.EXACT.value)
+    witness = from_aiger(exact.witness_aag)
+    # A fifth gate, TRUE AND output, pads the witness.
+    gates = witness.gates + (AndGate(Literal(0, True), witness.output),)
+    padded = AigCircuit(3, gates, Literal(3 + len(gates)))
+    upper = replace(
+        exact,
+        tt_hex="0x6",
+        size=5,
+        status=Status.UPPER_BOUND.value,
+        witness_aag=to_aiger(padded),
+    )
+    path = tmp_path / "store.jsonl"
+    append_record(path, exact)
+    lines = [json.dumps(asdict(upper))] + path.read_text().splitlines()[1:]
+    path.write_text("\n".join([HEADER, *(lines if upper_first else lines[::-1])]) + "\n")
+    loaded = load_store(path)
+    assert [issue.line_number for issue in loaded.issues] == [2 if upper_first else 3]
+    assert "'0x06'" in loaded.issues[0].reason
+    assert loaded.best == {"0x06": exact}
+    assert loaded.by_bits() == {0x06: exact}
 
 
 def test_earliest_timestamp_breaks_ties(tmp_path):

@@ -31,10 +31,10 @@ def test_parse_hex_prefix_optional_and_case_insensitive():
 
 
 def test_parse_hex_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_hex("0xzz", 4)
-    with pytest.raises(ValueError):
-        parse_hex("", 4)
+    # int(text, 16) reads the last four as 0x10, 0xf, 0x10 and 0.
+    for text in ("0xzz", "", "0x1_0", "0x+f", " 0x 10", "-0"):
+        with pytest.raises(ValueError):
+            parse_hex(text, 4)
 
 
 def test_parse_hex_rejects_oversized_value():
