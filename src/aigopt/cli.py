@@ -199,7 +199,10 @@ def cmd_campaign(args) -> int:
             if rec.status == Status.EXACT.value
         }
     todo = [c.canon.hex() for c in table if c.canon.hex() not in done]
-    _human(f"campaign: {len(table)} classes, {len(done)} already exact, {len(todo)} to run")
+    # The store may also hold records of functions that are not class
+    # representatives (``oracle`` writes every function), so count classes.
+    skipped = len(table) - len(todo)
+    _human(f"campaign: {len(table)} classes, {skipped} already exact, {len(todo)} to run")
     exact = upper = failed = 0
     with ExitStack() as stack:
         run = partial(_synth_one, n=args.n, cfg=cfg)
@@ -231,7 +234,7 @@ def cmd_campaign(args) -> int:
             "schema": "aigopt.campaign/1",
             "n": args.n,
             "classes": len(table),
-            "skipped_exact": len(done),
+            "skipped_exact": skipped,
             "new_exact": exact,
             "new_upper_bound": upper,
             "inconclusive": failed,
@@ -512,7 +515,8 @@ def main(argv=None) -> int:
                 "missing": exc.missing,
             }
         )
-        _human(f"store is missing {len(exc.missing)} classes: {', '.join(exc.missing[:8])} ...")
+        more = " ..." if len(exc.missing) > 8 else ""
+        _human(f"store is missing {len(exc.missing)} classes: {', '.join(exc.missing[:8])}{more}")
         return EXIT_INCOMPLETE_STORE
     except (ValueError, OSError) as exc:
         _human(f"error: {exc}")

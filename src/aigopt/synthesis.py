@@ -29,10 +29,10 @@ lexicographically >= the predecessor's.  Every circuit has at least one
 topological order satisfying these constraints (place the smallest-signature
 ready gate first), so exhausting the canonical space is exhaustive up to
 isomorphism.  A gate's choices depend only on n, its largest fanin node m,
-the previous gate's signature and the group of symmetries it is cut by (see
-below), so ``_gate_choices`` caches them per (n, m, group) as pre-merged
-lists ``after[cut]``, one per rank of that signature, each built on first
-use.
+the group of symmetries it is cut by (see below) and the previous gate's
+signature, so ``_gate_choices`` caches them per (n, m, group, signature),
+each list built on first use.  ``_live_pairs`` holds the pairs they are
+merged from, once per (n, m, group).
 
 Because any orbit member is a hit, an input transform may be applied to a
 witness before it is put in that order, and one symmetry cut follows for
@@ -108,10 +108,10 @@ node would be a smaller witness).  It must also read every pending node.
 Beyond k = 1 the gate just placed is always pending, and the slot count
 leaves at most one other pending node, a gate or an input, so only the pairs
 that read the newest gate (and that other node, if any) can close the
-circuit; ``closers`` lists them.  ``_last_gates`` holds, per signature of
-the second-to-last gate, the last gate's closers and list length, so a
-decision needs neither a cache lookup nor a bisect.  ``nodes_visited``
-still counts what a walk of the whole list would: every pair up to the
+circuit; ``closers`` lists them.  A decision reads the last gate's list
+and closers with the one ``_gate_choices`` lookup every gate uses, from the
+second-to-last gate's signature and stabilizer.  ``nodes_visited`` still
+counts what a walk of the whole list would: every pair up to the
 first that closes, which is the witness such a walk returns, or the whole
 list when none does.  The node counts therefore stay regression gates.
 
@@ -128,6 +128,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 
 from .aig import AigCircuit, AndGate, Literal
 from .npn import orbit, retarget
@@ -140,9 +141,9 @@ class Status(Enum):
 
 
 # The cap keeps node indices inside ``_pack_sig``'s 10-bit field and sizes
-# ``_input_group``'s tables.  ``_gate_choices`` builds a rank's list when the
-# walk first reaches it: at n = 6, 32 gates with a 0.2 s budget per gate count
-# peak at 30 MB.
+# ``_input_group``'s tables.  ``_gate_choices`` builds a list when the walk
+# first reaches it: at n = 6, 32 gates with a 0.2 s budget per gate count peak
+# at 34 MB.
 MAX_GATES = 32
 
 
@@ -263,12 +264,12 @@ def _input_group(n: int):
     return maps
 
 
-def _orbit_cut(n: int, pairs, stab: int) -> dict[int, tuple]:
+def _orbit_cut(n: int, pairs, stab: int) -> list[tuple]:
     """The pairs whose signature is the smallest in their orbit under
-    ``stab``, each with the subgroup of ``stab`` that fixes it appended, keyed
-    by signature."""
+    ``stab``, in input order, each with the subgroup of ``stab`` that fixes it
+    appended."""
     members = [(i, t) for i, t in enumerate(_input_group(n)) if (stab >> i) & 1]
-    kept = {}
+    kept = []
     for c in pairs:
         sig = c[0]
         lo, hi = sig >> 10, sig & 1023
@@ -281,80 +282,50 @@ def _orbit_cut(n: int, pairs, stab: int) -> dict[int, tuple]:
             if image == sig:
                 fixed |= 1 << i
         else:
-            kept[sig] = (*c[:5], fixed)
+            kept.append((*c, fixed))
     return kept
 
 
-class _Lazy(dict):
-    """A dict whose values are built on their first lookup."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 @lru_cache(maxsize=None)
-def _gate_choices(n: int, m: int, stab: int):
-    """``(sigs, after, closers)`` for a gate whose largest fanin node is m,
-    placed under the stabilizer ``stab``: the sorted signatures of the pairs
-    over nodes < m, and per rank ``cut`` the pairs that read node m merged
-    with those older pairs from ``cut`` on, signature-sorted.  For each input
-    or gate node a < m, ``closers[1 << a]`` holds the pairs (a, m);
-    ``closers[0]`` holds every pair that reads m.  Both are signature-sorted
-    and key on the unread nodes other than m.
+def _live_pairs(n: int, m: int, stab: int):
+    """``(older, closers)`` for a gate whose largest fanin node is m, placed
+    under the stabilizer ``stab``: the live pairs over nodes < m, and the
+    live pairs that read m.  For each input or gate node a < m,
+    ``closers[1 << a]`` holds the pairs (a, m); ``closers[0]`` holds every
+    pair that reads m.  All are signature-sorted, and ``closers`` keys on the
+    unread nodes other than m.
 
     Each pair is ``(sig, j0, xor0, j1, xor1, next_stab)``: the last field is
-    the stabilizer the next gate is placed under.  Under a non-trivial
-    ``stab`` only the pairs minimal in their ``stab``-orbit are kept.
-    Gate 1 (m = n) is x0 AND x1 alone, with one rank.
+    the stabilizer the next gate is placed under.  Only the pairs minimal in
+    their ``stab``-orbit are kept, and none of ``_dead_sigs``.
     """
-    if m == n:
-        if n < 2:
-            return [], [[]], {}
-        full = (1 << len(_input_group(n))) - 1
-        return [], [[(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)]], {}
-    if stab != _TRIVIAL:
-        sigs, after, closers = _gate_choices(n, m, _TRIVIAL)
-        # One tuple per kept pair, shared by every rank's list.
-        kept = _orbit_cut(n, after[0], stab)
-
-        def cut(pairs):
-            return [kept[c[0]] for c in pairs if c[0] in kept]
-
-        return sigs, _Lazy(lambda rank: cut(after[rank])), {
-            a: cut(pairs) for a, pairs in closers.items()
-        }
     dead = _dead_sigs(n)
     mask = (1 << (1 << n)) - 1
-    live = [(*c, _TRIVIAL) for c in _candidate_pairs(m, mask) if c[0] not in dead]
+    live = _orbit_cut(n, [c for c in _candidate_pairs(m, mask) if c[0] not in dead], stab)
     older = [c for c in live if c[3] < m]
     fresh = [c for c in live if c[3] == m]
-    sigs = [c[0] for c in older]
-    after = _Lazy(lambda cut: sorted(fresh + older[cut:]))
     closers = {0: fresh}
     for a in range(1, m):
         closers[1 << a] = [c for c in fresh if c[1] == a]
-    return sigs, after, closers
+    return older, closers
 
 
 @lru_cache(maxsize=None)
-def _last_gates(n: int, m: int, stab: int):
-    """For a second-to-last gate at node m placed under ``stab``: per
-    signature of its pairs, ``(count, pairs, closers)`` of the last gate that
-    follows it, where ``pairs`` is that gate's list and ``count`` its length.
-    Each entry is built on its first lookup."""
-    next_stab = {c[0]: c[5] for c in _gate_choices(n, m - 1, stab)[1][0]}
-
-    def build(sig):
-        sigs, after, closers = _gate_choices(n, m, next_stab[sig])
-        pairs = after[bisect_left(sigs, sig)]
-        return len(pairs), pairs, closers
-
-    return _Lazy(build)
+def _gate_choices(n: int, m: int, stab: int, prev_sig: int):
+    """``(pairs, closers)`` for a gate whose largest fanin node is m, placed
+    under ``stab`` after a gate of signature ``prev_sig``: the pairs that
+    read node m merged with the older pairs of signature >= ``prev_sig``,
+    signature-sorted, and ``_live_pairs``' closers.  Gate 1 (m = n) is x0 AND
+    x1 alone, whatever ``prev_sig`` is.
+    """
+    if m == n:
+        if n < 2:
+            return [], {}
+        full = (1 << len(_input_group(n))) - 1
+        return [(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)], {}
+    older, closers = _live_pairs(n, m, stab)
+    cut = bisect_left(older, prev_sig, key=itemgetter(0))
+    return sorted(closers[0] + older[cut:]), closers
 
 
 def _dead_sigs(n: int) -> set[int]:
@@ -415,18 +386,15 @@ def exists_circuit(
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
 
-        # Gate 1 ignores prev_sig: its list has one rank.
-        sigs, after, _ = _gate_choices(n, node - 1, stab)
-        pairs = after[bisect_left(sigs, prev_sig)]
+        pairs, _ = _gate_choices(n, node - 1, stab, prev_sig)
 
         if node == n + k - 1:
             # The last gate is decided here, in closed form: it is counted as
             # a walk of its whole list that stops at the first pair closing
             # the circuit.  No node may already compute an orbit member.
-            last = _last_gates(n, node, stab)
             hit_before = not seen.isdisjoint(targets)
             for cand in pairs:
-                sig, j0, x0, j1, x1, _ = cand
+                sig, j0, x0, j1, x1, nxt = cand
                 nodes_visited += 1
                 v = (values[j0] ^ x0) & (values[j1] ^ x1)
                 vn = v if v <= v ^ mask else v ^ mask
@@ -437,9 +405,9 @@ def exists_circuit(
                 other = pending & ~((1 << j0) | (1 << j1))
                 if other & (other - 1):
                     continue
-                count, last_pairs, closers = last[sig]
+                last_pairs, closers = _gate_choices(n, node, nxt, sig)
                 if hit_before or v in targets:
-                    nodes_visited += count
+                    nodes_visited += len(last_pairs)
                     continue
                 values[node] = v
                 for close in closers[other]:
@@ -449,7 +417,7 @@ def exists_circuit(
                         nodes_visited += last_pairs.index(close) + 1
                         found = _chain_to_circuit(n, chain + [cand, close], complement=False)
                         return retarget(found, w, tt)
-                nodes_visited += count
+                nodes_visited += len(last_pairs)
             return None
 
         # Each gate but the output is read by a later gate, and so is every
@@ -495,7 +463,7 @@ def exists_circuit(
         elif k == 1:
             # The one 1-gate circuit in the canonical space is x0 AND x1.
             witness = None
-            for cand in _gate_choices(n, n, _TRIVIAL)[1][0]:
+            for cand in _gate_choices(n, n, _TRIVIAL, -1)[0]:
                 nodes_visited += 1
                 v = values[1] & values[2]
                 if v in targets and seen.isdisjoint(targets):

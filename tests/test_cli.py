@@ -72,7 +72,7 @@ def test_gate_cap_above_limit_is_a_usage_error(capsys, tmp_path, monkeypatch, co
     def search_reached(*args):
         raise AssertionError("the gate lists were built")
 
-    for builder in ("_gate_choices", "_input_group", "_orbit_cut", "_last_gates"):
+    for builder in ("_gate_choices", "_input_group", "_orbit_cut", "_live_pairs"):
         monkeypatch.setattr(f"aigopt.synthesis.{builder}", search_reached)
     out_dir = tmp_path / "cnf"
     argv = [command, "0x6996966996696996", "-n", "6", "--max-gates", "33"]
@@ -222,6 +222,18 @@ def test_graph_incomplete_store(capsys, tmp_path):
     assert len(doc["missing"]) == 221
 
 
+@pytest.mark.parametrize(
+    "n, tt_hex, ending",
+    [(2, "0x6", "store is missing 3 classes: 0x0, 0x1, 0x3\n"), (4, "0x0001", " ...\n")],
+)
+def test_incomplete_store_line_elides_only_past_eight(capsys, tmp_path, n, tt_hex, ending):
+    store = tmp_path / "partial.jsonl"
+    run(capsys, "synth", tt_hex, "-n", str(n), "--store", str(store))
+    code, _, err = run(capsys, "graph", "-n", str(n), "--store", str(store))
+    assert code == EXIT_INCOMPLETE_STORE
+    assert err.endswith(ending)
+
+
 def test_graph_requires_store(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("AIGOPT_STORE", raising=False)
     code, _, err = run(capsys, "graph", "-n", "2")
@@ -324,6 +336,14 @@ def test_campaign_small(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["skipped_exact"] == 4
     assert doc["new_exact"] == 0
+    # An oracle store holds all 16 functions, but only 4 classes are skipped.
+    store = tmp_path / "oracle2.jsonl"
+    run(capsys, "oracle", "-n", "2", "--store", str(store))
+    code, out, err = run(capsys, "campaign", "-n", "2", "--store", str(store))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["skipped_exact"], doc["new_exact"]) == (4, 0)
+    assert "4 classes, 4 already exact, 0 to run" in err
 
 
 def test_store_rejections_named_by_campaign_and_graph(capsys, tmp_path):

@@ -1,5 +1,6 @@
-"""Static checks that stand in for a linter: no module imports a dead name,
-and the package exports exactly what it imports."""
+"""Static checks that stand in for a linter: no module imports a dead name or
+defines a dead private one, and the package exports exactly what it
+imports."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,44 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _defined_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _used_names(stmt) -> set[str]:
+    used = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_private_definition_is_used():
+    """A module-level ``_name`` (function, class or assignment) is read by
+    some top-level statement of the package other than its own definition."""
+    statements = [
+        (path.name, stmt)
+        for path in Path(aigopt.__file__).parent.glob("*.py")
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    uses = [_used_names(stmt) for _, stmt in statements]
+    dead = [
+        f"{module}: {name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in _defined_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in used for j, used in enumerate(uses) if j != i)
+    ]
+    assert dead == []
 
 
 def test_package_exports_match_its_imports():

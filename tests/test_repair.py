@@ -12,8 +12,8 @@ from aigopt.repair import (
     repair_multi,
     repair_set,
 )
-from aigopt.synthesis import opt_size
-from aigopt.truthtable import Assignment, TruthTable, parse_hex
+from aigopt.synthesis import Status, opt_size
+from aigopt.truthtable import Assignment, TruthTable, parse_hex, var_table
 
 from helpers import random_circuit
 
@@ -148,6 +148,24 @@ def test_repair_multi_two_flips():
     assert report.bound == 3 + 4 * 2
     assert repaired.size() <= report.bound
     assert repaired.evaluate() == target
+
+
+@pytest.mark.parametrize(
+    "n, g_hex",
+    [(3, "0x89"), (4, "0x8889"), (5, "0x88888889"), (6, "0x8888888888888889")],
+)
+def test_flip_bound_is_tight(n, g_hex):
+    """f = x0 AND x1 takes one gate; g, f with row 0 flipped, takes exactly
+    1 + n, so |delta opt| = n meets the bound at every n the search serves,
+    and the repair gadget adds exactly n gates."""
+    f = opt_size(TruthTable(n, var_table(n, 0).bits & var_table(n, 1).bits))
+    g = opt_size(parse_hex(g_hex, n))
+    assert g.tt.bits == f.tt.bits ^ 1
+    assert (f.size, f.status) == (1, Status.EXACT)
+    assert (g.size, g.status) == (1 + n, Status.EXACT)
+    repaired, _ = repair_multi(f.witness, g.tt)
+    assert repaired.size() == 1 + n
+    assert repaired.evaluate() == g.tt
 
 
 def test_repair_multi_arity_mismatch():

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -325,8 +324,9 @@ def test_symmetry_cut_lists_n4():
     input transforms that fix it; gate 2 keeps the 8 live orbit-minimal pairs
     of the 40 over x0..x3 and gate 1."""
     full = (1 << 16) - 1
-    assert _gate_choices(4, 4, 1)[1] == [[(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)]]
-    second = _gate_choices(4, 5, full)[1][0]
+    gate1 = (_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)
+    assert _gate_choices(4, 4, 1, -1) == ([gate1], {})
+    second = _gate_choices(4, 5, full, gate1[0])[0]
     assert len(_candidate_pairs(5, 0xFFFF)) == 40
     assert len(second) == 8
     # x0 AND x1 again, x0 AND g1, NOT x0 AND g1 and NOT x0 AND NOT g1 recompute
@@ -350,10 +350,13 @@ def pair_image(t, pair):
 
 
 def test_stabilizer_chain_n4():
-    """The cut lists agree with a direct construction of H from the NPN
-    transforms: each kept pair is the smallest in its orbit under the
-    stabilizer it is placed under, and carries the subgroup that fixes it."""
-    n = 4
+    """Every list the n=4 walk reaches through gate 4 agrees with a direct
+    construction from the NPN transforms: the pairs that read the newest node
+    and the older pairs of signature >= the previous gate's, less those that
+    recompute a constant, an input or gate 1, each kept when it is the
+    smallest in its orbit under the stabilizer it is placed under, and
+    carrying the subgroup that fixes it."""
+    n, mask = 4, 0xFFFF
     gate1 = ((1, 0), (2, 0))
     group = [
         NpnTransform(perm, neg, False)
@@ -373,27 +376,43 @@ def test_stabilizer_chain_n4():
     order = [as_transform(table) for table in _input_group(n)]
     assert order[0] == NpnTransform.identity(n) and set(order) == set(group)
 
-    def check(stab, base, kept):
-        """``kept`` is ``base`` cut to the pairs that are smallest in their
-        ``stab``-orbit, each with the subgroup of ``stab`` that fixes it."""
+    values = [0] + [var_table(n, i).bits for i in range(n)]
+    values.append(values[1] & values[2])
+    known = {min(v, v ^ mask) for v in values}
+
+    def direct(m, stab, prev_sig):
         members = [(i, t) for i, t in enumerate(order) if (stab >> i) & 1]
         expect = []
-        for c in base:
-            pair = (c[1], int(c[2] != 0), c[3], int(c[4] != 0))
-            images = {i: pair_image(t, pair) for i, t in members}
-            if min(images.values()) == images[0]:
-                fixed = sum(1 << i for i, image in images.items() if image == images[0])
-                expect.append((*c[:5], fixed))
-        assert kept == expect
+        for j0, j1 in itertools.combinations(range(1, m + 1), 2):
+            for c0, c1 in itertools.product((0, 1), repeat=2):
+                sig = _pack_sig(j0, c0, j1, c1)
+                if j1 < m and sig < prev_sig:
+                    continue
+                if j1 <= n + 1:
+                    v = (values[j0] ^ (mask * c0)) & (values[j1] ^ (mask * c1))
+                    if min(v, v ^ mask) in known:
+                        continue
+                images = {i: pair_image(t, (j0, c0, j1, c1)) for i, t in members}
+                if min(images.values()) == images[0]:
+                    fixed = sum(1 << i for i, image in images.items() if image == images[0])
+                    expect.append((sig, j0, mask * c0, j1, mask * c1, fixed))
+        return sorted(expect)
 
     full = (1 << 16) - 1
-    second = _gate_choices(n, n + 1, full)[1][0]
+    second = _gate_choices(n, n + 1, full, _pack_sig(1, 0, 2, 0))[0]
     assert sorted(c[5].bit_count() for c in second) == [2, 2, 4, 4, 4, 8, 8, 16]
-    check(full, _gate_choices(n, n + 1, 1)[1][0], second)
-    for cand in second:
-        sigs, after, _ = _gate_choices(n, n + 2, 1)
-        rank = bisect_left(sigs, cand[0])
-        check(cand[5], after[rank], _gate_choices(n, n + 2, cand[5])[1][rank])
+    frontier = [(n + 1, full, _pack_sig(1, 0, 2, 0))]
+    checked = 0
+    while frontier:
+        m, stab, prev_sig = frontier.pop()
+        pairs, closers = _gate_choices(n, m, stab, prev_sig)
+        assert pairs == direct(m, stab, prev_sig)
+        fresh = [c for c in pairs if c[3] == m]
+        assert closers == {0: fresh} | {1 << a: [c for c in fresh if c[1] == a] for a in range(1, m)}
+        checked += 1
+        if m < n + 3:
+            frontier += [(m + 1, c[5], c[0]) for c in pairs]
+    assert checked == 212
 
 
 @settings(max_examples=60, deadline=None)
