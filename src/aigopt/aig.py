@@ -4,7 +4,7 @@ Node indexing: 0 is the constant-false node, 1..n are the inputs, and
 n+1..n+k are the AND gates in topological order.  Inverters are free edge
 attributes, so circuit size is the gate count alone.  Gate fanins are kept
 sorted by (node, complement) so that structurally equal circuits compare
-equal.
+equal.  A circuit is checked when it is made, so no consumer checks it again.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class AigCircuit:
         """Nodes including the constant: 1 + n + gate count."""
         return 1 + self.n + len(self.gates)
 
-    def validate(self) -> list[str]:
-        """All invariant violations found; an empty list means valid."""
+    def __post_init__(self) -> None:
         problems = []
         if self.n < 0:
             problems.append(f"negative input count {self.n}")
@@ -78,15 +77,13 @@ class AigCircuit:
                 problems.append(f"gate {gi} fanins {g.fanin0}, {g.fanin1} not normalized")
         if not 0 <= self.output.node < self.node_count:
             problems.append(f"output node {self.output.node} out of range")
-        return problems
+        if problems:
+            raise ValueError("invalid circuit: " + "; ".join(problems))
 
     def evaluate(self) -> TruthTable:
         """Bitwise-parallel simulation over all 2^n input rows."""
         # Checked before anything is sized by n: the mask alone has 2^n bits.
         _check_var_count(self.n)
-        problems = self.validate()
-        if problems:
-            raise ValueError("invalid circuit: " + "; ".join(problems))
         mask = (1 << (1 << self.n)) - 1
         values = [0] * self.node_count
         for i in range(self.n):
@@ -120,9 +117,6 @@ class AigerError(ValueError):
 
 def to_aiger(c: AigCircuit) -> str:
     """Serialize to ASCII AIGER ("aag"), single output, no latches."""
-    problems = c.validate()
-    if problems:
-        raise ValueError("invalid circuit: " + "; ".join(problems))
     lines = [f"aag {c.n + len(c.gates)} {c.n} 0 1 {len(c.gates)}"]
     for i in range(c.n):
         lines.append(str(2 * (i + 1)))
@@ -144,12 +138,10 @@ def from_aiger(text: str) -> AigCircuit:
     if not lines:
         raise AigerError("empty AIGER document")
     header = lines[0].split()
-    if len(header) != 6 or header[0] != "aag":
+    # Unsigned decimal counts only: a negative one would skip its section.
+    if len(header) != 6 or header[0] != "aag" or not all(x.isdecimal() for x in header[1:]):
         raise AigerError(f"malformed header {lines[0]!r}")
-    try:
-        max_var, n_in, n_latch, n_out, n_and = (int(x) for x in header[1:])
-    except ValueError:
-        raise AigerError(f"malformed header {lines[0]!r}") from None
+    max_var, n_in, n_latch, n_out, n_and = (int(x) for x in header[1:])
     if n_latch != 0:
         raise AigerError("latches are not supported")
     if n_out != 1:
@@ -194,11 +186,11 @@ def from_aiger(text: str) -> AigCircuit:
         gates.append(AndGate.of(f0, f1))
 
     output = _map_literal(output_lit, node_of_var, max_var)
-    circuit = AigCircuit(n_in, tuple(gates), output)
-    problems = circuit.validate()
-    if problems:
-        raise AigerError("parsed circuit invalid: " + "; ".join(problems))
-    return circuit
+    try:
+        return AigCircuit(n_in, tuple(gates), output)
+    except ValueError as exc:
+        detail = str(exc).removeprefix("invalid circuit: ")
+        raise AigerError(f"parsed circuit invalid: {detail}") from None
 
 
 def _parse_literal(line: str) -> int:

@@ -345,11 +345,18 @@ def cmd_verify(args) -> int:
             ],
         }
     )
-    if report.holds:
-        _human(f"bound holds: max |delta| = {report.max_delta} <= n = {graph.n}")
-        return EXIT_OK
-    _human(f"BOUND VIOLATED on {len(report.violations)} edges")
-    return EXIT_BOUND_VIOLATION
+    if not report.holds:
+        _human(f"BOUND VIOLATED on {len(report.violations)} edges")
+        return EXIT_BOUND_VIOLATION
+    checked, total = graph.summary.exact_edge_total, graph.summary.edge_total
+    if checked == 0:
+        _human(f"bound not checked: none of the {total} edges has two exact endpoints")
+    else:
+        _human(
+            f"bound holds on {checked} of {total} edges: "
+            f"max |delta| = {report.max_delta} <= n = {graph.n}"
+        )
+    return EXIT_OK
 
 
 def cmd_repair(args) -> int:

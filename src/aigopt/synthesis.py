@@ -99,7 +99,7 @@ computes another function:
   below that floor is proven infeasible before any node is visited;
 * no duplicate function — a gate that recomputes, up to complement, the
   function of a constant, an input or an earlier gate can be replaced by a
-  (complemented) edge to that node;
+  (complemented) edge to that node.
 
 The last gate is decided without walking its list, inside the loop of the
 second-to-last gate, with no call per decision.  It must compute an orbit

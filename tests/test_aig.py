@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -23,30 +24,41 @@ def and_gate(a: int, ca: bool, b: int, cb: bool) -> AndGate:
 
 
 def test_validate_empty_constant_circuit():
-    assert AigCircuit(4, (), FALSE).validate() == []
+    assert AigCircuit(4, (), FALSE).evaluate().bits == 0
 
 
 def test_validate_flags_non_topological_fanin():
     # gate 0 is node 3 at n=2; referencing node 3 or later is invalid
-    bad = AigCircuit(2, (AndGate(Literal(1), Literal(3)),), Literal(3))
-    assert any("topological" in p for p in bad.validate())
+    with pytest.raises(ValueError, match="fanin node 3 not topological"):
+        AigCircuit(2, (AndGate(Literal(1), Literal(3)),), Literal(3))
 
 
 def test_validate_single_and_gate():
+    # The output may name the last node, the gate just placed.
     c = AigCircuit(2, (and_gate(1, False, 2, False),), Literal(3))
-    assert c.validate() == []
+    assert c.output.node == c.node_count - 1
 
 
 def test_validate_flags_unnormalized_fanins():
-    bad = AigCircuit(2, (AndGate(Literal(2), Literal(1)),), Literal(3))
-    assert any("normalized" in p for p in bad.validate())
-    dup = AigCircuit(2, (AndGate(Literal(1), Literal(1)),), Literal(3))
-    assert any("normalized" in p for p in dup.validate())
+    with pytest.raises(ValueError, match="not normalized"):
+        AigCircuit(2, (AndGate(Literal(2), Literal(1)),), Literal(3))
+    with pytest.raises(ValueError, match="not normalized"):
+        AigCircuit(2, (AndGate(Literal(1), Literal(1)),), Literal(3))
 
 
 def test_validate_flags_output_out_of_range():
-    bad = AigCircuit(2, (), Literal(5))
-    assert any("output" in p for p in bad.validate())
+    with pytest.raises(ValueError, match="output node 5 out of range"):
+        AigCircuit(2, (), Literal(5))
+
+
+def test_invalid_circuit_names_every_fault():
+    with pytest.raises(ValueError) as info:
+        AigCircuit(-1, (AndGate(Literal(2), Literal(1)),), Literal(5))
+    message = str(info.value)
+    assert message.startswith("invalid circuit: negative input count -1; ")
+    assert message.count("not topological") == 2
+    assert "not normalized" in message
+    assert message.endswith("output node 5 out of range")
 
 
 def test_evaluate_single_and():
@@ -91,9 +103,9 @@ def test_evaluate_matches_row_by_row():
 
 
 def test_evaluate_rejects_invalid_circuit():
-    bad = AigCircuit(2, (AndGate(Literal(2), Literal(1)),), Literal(3))
-    with pytest.raises(ValueError):
-        bad.evaluate()
+    # An invalid circuit cannot reach evaluate(): it is refused when made.
+    with pytest.raises(ValueError, match="invalid circuit"):
+        AigCircuit(2, (AndGate(Literal(2), Literal(1)),), Literal(3))
     for n in (0, 7):
         with pytest.raises(ValueError, match=r"1\.\.6"):
             AigCircuit(n, (), FALSE).evaluate()
@@ -174,3 +186,37 @@ def test_from_aiger_errors():
     with pytest.raises(AigerError):
         # forward reference: gate 3 uses gate 4 before its definition
         from_aiger("aag 4 1 0 1 2\n2\n6\n6 8 2\n8 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("", "empty AIGER document"),
+        ("aag 1 x 0 1 0\n", "malformed header 'aag 1 x 0 1 0'"),
+        ("aag 0 -1 0 1 0\n", "malformed header 'aag 0 -1 0 1 0'"),
+        ("aag 1 1 0 1 -1\n2\n2\n", "malformed header 'aag 1 1 0 1 -1'"),
+        ("aag 1 1 0 1 0\n3\n2\n", "input line 3 is not a positive even literal"),
+        ("aag 2 2 0 1 0\n2\n2\n2\n", "bad input variable 1"),
+        ("aag 3 2 0 1 1\n2\n4\n6\n6 2\n", "malformed AND line '6 2'"),
+        ("aag 3 2 0 1 1\n2\n4\n6\n6 2 x\n", "malformed AND line '6 2 x'"),
+        ("aag 3 2 0 1 1\n2\n4\n6\n7 2 4\n", "AND lhs 7 is not a positive even literal"),
+        ("aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n6 3 5\n", "bad AND variable 3"),
+        ("aag 1 1 0 1 0\n2\n2 4\n", "expected a single literal, got '2 4'"),
+        ("aag 1 1 0 1 0\n2\nx\n", "malformed literal 'x'"),
+        ("aag 1 1 0 1 0\n2\n-2\n", "negative literal -2"),
+        (
+            "aag 3 2 0 1 1\n2\n4\n6\n6 2 2\n",
+            "parsed circuit invalid: gate 0 fanins Literal(node=1, complement=False), "
+            "Literal(node=1, complement=False) not normalized",
+        ),
+    ],
+    ids=[
+        "empty", "header-field", "header-negative-inputs", "header-negative-ands",
+        "odd-input", "repeated-input", "and-two-fields",
+        "and-not-int", "odd-lhs", "repeated-lhs", "output-two-fields",
+        "output-not-int", "output-negative", "repeated-fanin",
+    ],
+)
+def test_from_aiger_names_each_rejection(text, cause):
+    with pytest.raises(AigerError, match=re.escape(cause)):
+        from_aiger(text)

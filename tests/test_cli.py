@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from aigopt.cli import (
     main,
 )
 from aigopt.store import HEADER, ResultRecord, append_record, load_store, record_from_result
-from aigopt.synthesis import opt_size
+from aigopt.synthesis import Status, opt_size
 from aigopt.truthtable import parse_hex
 
 from helpers import FOUR_GATE_XOR_AAG
@@ -182,6 +183,28 @@ def test_verify_exits_on_bound_violation(capsys, tmp_path):
     assert "BOUND VIOLATED on 1 edges" in err
 
 
+@pytest.mark.parametrize(
+    "upper, max_delta, line",
+    [
+        (("0x6",), 1, "bound holds on 2 of 3 edges: max |delta| = 1 <= n = 2"),
+        (("0x1", "0x6"), None, "bound not checked: none of the 3 edges has two exact endpoints"),
+    ],
+    ids=["some-edges-exact", "no-edge-exact"],
+)
+def test_verify_names_the_edges_it_checked(capsys, tmp_path, upper, max_delta, line):
+    store = tmp_path / "upper.jsonl"
+    for tt_hex in ("0x0", "0x1", "0x3", "0x6"):
+        record = record_from_result(opt_size(parse_hex(tt_hex, 2)))
+        if tt_hex in upper:
+            record = replace(record, status=Status.UPPER_BOUND.value, exhausted_below=-1)
+        append_record(store, record)
+    code, out, err = run(capsys, "verify", "-n", "2", "--store", str(store))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["holds"], doc["max_delta"], doc["violations"]) == (True, max_delta, [])
+    assert err.splitlines() == [line]
+
+
 def test_oracle_agrees_with_brute_oracle_n3(capsys, tmp_path, oracle3):
     """Two routes at n=3: per-class opt_size witnesses mapped to every
     function, against the breadth-first reference sizes."""
@@ -344,6 +367,45 @@ def test_campaign_small(capsys, tmp_path):
     doc = json.loads(out)
     assert (doc["skipped_exact"], doc["new_exact"]) == (4, 0)
     assert "4 classes, 4 already exact, 0 to run" in err
+
+
+def test_campaign_counts_inconclusive_classes_and_runs_them_again(capsys, tmp_path):
+    store = tmp_path / "capped.jsonl"
+    argv = ("campaign", "-n", "3", "--max-gates", "3", "--store", str(store))
+    unsettled = ["0x06", "0x16", "0x17", "0x18", "0x19", "0x1e", "0x69"]
+    for skipped, new_exact in ((0, 7), (7, 0)):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_UPPER_BOUND
+        doc = json.loads(out)
+        assert (doc["skipped_exact"], doc["new_exact"]) == (skipped, new_exact)
+        assert (doc["new_upper_bound"], doc["inconclusive"]) == (0, 7)
+        assert [ln for ln in err.splitlines() if "inconclusive" in ln] == [
+            f"{tt}: inconclusive within 3 gates" for tt in unsettled
+        ]
+    assert len(load_store(store).best) == 7
+
+
+def test_campaign_counts_upper_bounds_and_runs_them_again(capsys, tmp_path, monkeypatch):
+    import aigopt.cli as cli
+
+    real_opt_size = cli.opt_size
+
+    def upper_bound_for_0x6(tt, cfg):
+        result = real_opt_size(tt, cfg)
+        if tt.hex() != "0x6":
+            return result
+        return replace(result, status=Status.UPPER_BOUND, exhausted_below=-1)
+
+    monkeypatch.setattr(cli, "opt_size", upper_bound_for_0x6)
+    store = tmp_path / "upper.jsonl"
+    for skipped, new_exact in ((0, 3), (3, 0)):
+        code, out, err = run(capsys, "campaign", "-n", "2", "--store", str(store))
+        assert code == EXIT_UPPER_BOUND
+        doc = json.loads(out)
+        assert (doc["skipped_exact"], doc["new_exact"]) == (skipped, new_exact)
+        assert (doc["new_upper_bound"], doc["inconclusive"]) == (1, 0)
+        assert "0x6: size 3 [upper-bound]" in err
+    assert load_store(store).best["0x6"].status == Status.UPPER_BOUND.value
 
 
 def test_store_rejections_named_by_campaign_and_graph(capsys, tmp_path):

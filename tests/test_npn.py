@@ -94,7 +94,6 @@ def test_transform_then_inverse_is_identity(case):
 def test_transform_circuit_matches_apply_transform(case):
     circuit, t = case
     moved = transform_circuit(circuit, t)
-    assert moved.validate() == []
     assert moved.evaluate() == apply_transform(circuit.evaluate(), t)
     assert moved.size() == circuit.size()
 
@@ -181,7 +180,6 @@ def test_retarget_moves_a_member_circuit_onto_the_table(case):
     bits = circuit.evaluate().bits
     target = apply_transform(circuit.evaluate(), t)
     moved = retarget(circuit, bits, target)
-    assert moved.validate() == []
     assert moved.size() == circuit.size()
     assert moved.evaluate() == target
 

@@ -206,6 +206,23 @@ def test_tampered_witness_rejected_at_load(tmp_path):
     assert "0x7" not in loaded.best
 
 
+def test_floor_at_the_witness_size_rejected_at_load(tmp_path):
+    """exhausted_below == size would claim that no circuit of the witness's
+    own size exists."""
+    path = tmp_path / "store.jsonl"
+    upper = make_record(
+        size=4,
+        status=Status.UPPER_BOUND.value,
+        exhausted_below=4,
+        witness_aag=FOUR_GATE_XOR_AAG,
+    )
+    path.write_text(HEADER + "\n" + json.dumps(asdict(upper)) + "\n")
+    loaded = load_store(path)
+    assert [issue.line_number for issue in loaded.issues] == [2]
+    assert "exhausted_below must be in -1..size-1" in loaded.issues[0].reason
+    assert loaded.best == {}
+
+
 def test_status_consistency_enforced():
     record = make_record(exhausted_below=1)  # exact but not size-1
     with pytest.raises(ValueError):
