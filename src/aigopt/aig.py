@@ -28,10 +28,6 @@ class Literal:
         """AIGER literal encoding: 2*node + complement."""
         return 2 * self.node + int(self.complement)
 
-    @staticmethod
-    def decode(value: int) -> Literal:
-        return Literal(value >> 1, bool(value & 1))
-
 
 FALSE = Literal(CONST_NODE, False)
 TRUE = Literal(CONST_NODE, True)

@@ -10,8 +10,8 @@ function with its class's witness moved to it by ``npn.retarget``, from the
 class canon that witness computes.  Commands that
 enumerate NPN classes (``classify``, ``graph``, ``verify``, ``campaign``)
 accept n <= 4 only.  Exit codes: 0 success (or bound holds), 1 usage error or
-a file that cannot be read or written, 2 upper-bound/unknown result, 3 bound
-violation, 4 incomplete store.
+a file that cannot be read or written, 2 upper-bound/unknown result (also a
+``verify`` that checked no edge), 3 bound violation, 4 incomplete store.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def cmd_verify(args) -> int:
             "schema": "aigopt.verify/1",
             "n": graph.n,
             "holds": report.holds,
-            "max_delta": report.max_delta,
+            "max_delta": graph.summary.max_delta,
             "bound": graph.n,
             "violations": [
                 {
@@ -351,11 +351,11 @@ def cmd_verify(args) -> int:
     checked, total = graph.summary.exact_edge_total, graph.summary.edge_total
     if checked == 0:
         _human(f"bound not checked: none of the {total} edges has two exact endpoints")
-    else:
-        _human(
-            f"bound holds on {checked} of {total} edges: "
-            f"max |delta| = {report.max_delta} <= n = {graph.n}"
-        )
+        return EXIT_UPPER_BOUND
+    _human(
+        f"bound holds on {checked} of {total} edges: "
+        f"max |delta| = {graph.summary.max_delta} <= n = {graph.n}"
+    )
     return EXIT_OK
 
 

@@ -4,12 +4,15 @@ Vertices are NPN classes; an edge joins two classes whenever some member of
 one differs from some member of the other in exactly one truth-table row.
 Because NPN transforms preserve Hamming distance, flipping each row of the
 canonical representative reaches every neighbouring class, so edges are
-computed from representatives only.
+computed from representatives only.  A graph is its edges: its |delta|
+histogram, its summary and the bound check are all derived from them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .npn import NpnClass, NpnClassTable
 from .synthesis import Status
@@ -45,8 +48,24 @@ class MutationGraph:
     n: int
     classes: tuple[NpnClass, ...]
     edges: tuple[MutationEdge, ...]
-    histogram: dict[int, int]
-    summary: GraphSummary
+
+    @cached_property
+    def histogram(self) -> dict[int, int]:
+        """Edge count per defined |delta|."""
+        return dict(Counter(e.delta for e in self.edges if e.delta is not None))
+
+    @cached_property
+    def summary(self) -> GraphSummary:
+        deltas = [e.delta for e in self.edges if e.delta is not None]
+        return GraphSummary(
+            edge_total=len(self.edges),
+            exact_edge_total=len(deltas),
+            max_delta=max(deltas) if deltas else None,
+            mean_abs_delta=sum(deltas) / len(deltas) if deltas else None,
+            share_delta_le_2=(
+                sum(1 for d in deltas if d <= 2) / len(deltas) if deltas else None
+            ),
+        )
 
 
 class IncompleteStoreError(KeyError):
@@ -93,42 +112,21 @@ def build_graph(table: NpnClassTable, opt_store) -> MutationGraph:
             pair_multiplicity[key] = max(pair_multiplicity.get(key, 0), count)
 
     edges = []
-    histogram: dict[int, int] = {}
     for (a, b), mult in sorted(pair_multiplicity.items()):
         sa = exact_size(table[a])
         sb = exact_size(table[b])
         delta = abs(sa - sb) if sa is not None and sb is not None else None
-        if delta is not None:
-            histogram[delta] = histogram.get(delta, 0) + 1
         edges.append(MutationEdge(a, b, delta, mult))
-
-    return MutationGraph(
-        n=table.n,
-        classes=tuple(table),
-        edges=tuple(edges),
-        histogram=histogram,
-        summary=summarize_edges(edges),
-    )
-
-
-def summarize_edges(edges) -> GraphSummary:
-    deltas = [e.delta for e in edges if e.delta is not None]
-    return GraphSummary(
-        edge_total=len(edges),
-        exact_edge_total=len(deltas),
-        max_delta=max(deltas) if deltas else None,
-        mean_abs_delta=sum(deltas) / len(deltas) if deltas else None,
-        share_delta_le_2=(
-            sum(1 for d in deltas if d <= 2) / len(deltas) if deltas else None
-        ),
-    )
+    return MutationGraph(table.n, tuple(table), tuple(edges))
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    holds: bool
-    max_delta: int | None
     violations: tuple[MutationEdge, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
 
 def verify_bound(g: MutationGraph) -> BoundReport:
@@ -137,12 +135,7 @@ def verify_bound(g: MutationGraph) -> BoundReport:
     A violation would indicate an implementation bug, not a property of the
     functions: the bound is constructive.
     """
-    violations = tuple(
-        e for e in g.edges if e.delta is not None and e.delta > g.n
-    )
     return BoundReport(
-        holds=not violations,
-        max_delta=g.summary.max_delta,
-        violations=violations,
+        tuple(e for e in g.edges if e.delta is not None and e.delta > g.n)
     )
 

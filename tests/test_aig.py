@@ -129,7 +129,6 @@ def test_literal_encoding():
     assert Literal(0, False).encode() == 0
     assert Literal(0, True).encode() == 1
     assert Literal(3, True).encode() == 7
-    assert Literal.decode(7) == Literal(3, True)
     assert ~Literal(2, False) == Literal(2, True)
 
 

@@ -184,14 +184,21 @@ def test_verify_exits_on_bound_violation(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "upper, max_delta, line",
+    "upper, exit_code, max_delta, line",
     [
-        (("0x6",), 1, "bound holds on 2 of 3 edges: max |delta| = 1 <= n = 2"),
-        (("0x1", "0x6"), None, "bound not checked: none of the 3 edges has two exact endpoints"),
+        (("0x6",), EXIT_OK, 1, "bound holds on 2 of 3 edges: max |delta| = 1 <= n = 2"),
+        (
+            ("0x1", "0x6"),
+            EXIT_UPPER_BOUND,
+            None,
+            "bound not checked: none of the 3 edges has two exact endpoints",
+        ),
     ],
     ids=["some-edges-exact", "no-edge-exact"],
 )
-def test_verify_names_the_edges_it_checked(capsys, tmp_path, upper, max_delta, line):
+def test_verify_names_the_edges_it_checked(
+    capsys, tmp_path, upper, exit_code, max_delta, line
+):
     store = tmp_path / "upper.jsonl"
     for tt_hex in ("0x0", "0x1", "0x3", "0x6"):
         record = record_from_result(opt_size(parse_hex(tt_hex, 2)))
@@ -199,7 +206,7 @@ def test_verify_names_the_edges_it_checked(capsys, tmp_path, upper, max_delta, l
             record = replace(record, status=Status.UPPER_BOUND.value, exhausted_below=-1)
         append_record(store, record)
     code, out, err = run(capsys, "verify", "-n", "2", "--store", str(store))
-    assert code == EXIT_OK
+    assert code == exit_code
     doc = json.loads(out)
     assert (doc["holds"], doc["max_delta"], doc["violations"]) == (True, max_delta, [])
     assert err.splitlines() == [line]

@@ -1,6 +1,6 @@
-"""Static checks that stand in for a linter: no module imports a dead name or
-defines a dead private one, and the package exports exactly what it
-imports."""
+"""Static checks that stand in for a linter: no module of the package or of
+its tests imports a dead name, no package module defines a dead private one,
+and the package exports exactly what it imports."""
 
 import ast
 from pathlib import Path
@@ -11,7 +11,7 @@ import aigopt
 
 MODULES = sorted(
     p for p in Path(aigopt.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -3,19 +3,16 @@ import random
 import pytest
 
 from aigopt.mutation import (
-    BoundReport,
-    GraphSummary,
     IncompleteStoreError,
     MutationEdge,
     MutationGraph,
     build_graph,
     class_neighbors,
-    summarize_edges,
     verify_bound,
 )
 from aigopt.npn import apply_transform, enumerate_classes
 from aigopt.synthesis import Status, brute_oracle
-from aigopt.truthtable import TruthTable, parse_hex
+from aigopt.truthtable import parse_hex
 
 from test_npn import random_transform
 
@@ -87,9 +84,8 @@ def test_build_graph_n3_bound_holds(classes3, oracle3):
     graph = build_graph(classes3, oracle_store(3, oracle3, classes3))
     assert sum(graph.histogram.values()) == graph.summary.exact_edge_total
     assert graph.summary.edge_total == len(graph.edges)
-    report = verify_bound(graph)
-    assert report.holds
-    assert report.max_delta is not None and report.max_delta <= 3
+    assert verify_bound(graph).holds
+    assert graph.summary.max_delta is not None and graph.summary.max_delta <= 3
 
 
 def test_build_graph_requires_full_store(classes3, oracle3):
@@ -121,30 +117,23 @@ def test_upper_bound_endpoints_leave_delta_undefined(classes3, oracle3):
 
 
 def test_verify_bound_vacuous_on_empty_graph():
-    graph = MutationGraph(
-        n=4,
-        classes=(),
-        edges=(),
-        histogram={},
-        summary=summarize_edges([]),
-    )
-    report = verify_bound(graph)
-    assert report.holds
-    assert report.max_delta is None
+    graph = MutationGraph(4, (), ())
+    assert verify_bound(graph).holds
+    assert graph.histogram == {}
+    assert graph.summary.max_delta is None
 
 
 def test_verify_bound_flags_violations():
     edges = (MutationEdge(0, 1, 5),)
-    graph = MutationGraph(
-        n=4, classes=(), edges=edges, histogram={5: 1}, summary=summarize_edges(edges)
-    )
+    graph = MutationGraph(4, (), edges)
+    assert graph.histogram == {5: 1}
     report = verify_bound(graph)
     assert not report.holds
     assert report.violations == edges
 
 
 def test_summary_stats_single_zero_edge():
-    summary = summarize_edges((MutationEdge(0, 1, 0),))
+    summary = MutationGraph(4, (), (MutationEdge(0, 1, 0),)).summary
     assert summary.mean_abs_delta == 0.0
     assert summary.share_delta_le_2 == 1.0
 
@@ -158,7 +147,9 @@ def test_summary_stats_reference_histogram_arithmetic():
         for _ in range(count):
             edges.append(MutationEdge(next_a, next_a + 1, delta))
             next_a += 2
-    summary = summarize_edges(edges)
+    graph = MutationGraph(4, (), tuple(edges))
+    assert graph.histogram == histogram
+    summary = graph.summary
     assert summary.exact_edge_total == 987
     assert summary.max_delta == 4
     assert abs(summary.mean_abs_delta - 1019 / 987) < 1e-12

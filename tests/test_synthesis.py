@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,15 @@ from hypothesis import given, settings
 import aigopt
 from aigopt.aig import AigCircuit, AndGate, Literal, from_aiger, to_aiger
 from aigopt.cnf import decode_model, encode_cnf
-from aigopt.npn import NpnTransform, apply_transform, canonicalize, orbit
+from aigopt.npn import (
+    NpnTransform,
+    apply_transform,
+    canonicalize,
+    enumerate_classes,
+    orbit,
+    transform_circuit,
+)
+from aigopt.repair import build_detector
 from aigopt.synthesis import (
     MAX_GATES,
     SearchInconclusiveError,
@@ -27,7 +36,7 @@ from aigopt.synthesis import (
     exists_circuit,
     opt_size,
 )
-from aigopt.truthtable import TruthTable, parse_hex, var_table
+from aigopt.truthtable import Assignment, TruthTable, parse_hex, var_table
 
 from helpers import FOUR_GATE_XOR_AAG, circuits, dpll_satisfiable, model_text
 from test_npn import random_transform
@@ -550,6 +559,58 @@ def test_cnf_header_documents_layout():
 def test_decode_model_unsat_token():
     assert decode_model("UNSAT\n", 2, 2) is None
     assert decode_model("s UNSATISFIABLE\n", 2, 2) is None
+
+
+# The one 1-gate model for 0x8 at n=2: selection var 1 picks (x0, x1), output
+# polarity var 9 is false.
+_AND_MODEL = "1 -2 -3 -4 -5 -6 -7 8 -9 0"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (f"c solver banner\ns SATISFIABLE\nv {_AND_MODEL}\n", None),
+        (f"SAT\n{_AND_MODEL}\n", None),
+        ("v 1 x 0\n", "unexpected token 'x' in model"),
+        ("s UNKNOWN\n", "unexpected token 'UNKNOWN' in model"),
+    ],
+    ids=["dimacs-banner", "bare-sat", "bad-literal", "unknown-status"],
+)
+def test_decode_model_reads_solver_output(text, error):
+    if error is None:
+        assert decode_model(text, 1, 2).evaluate() == parse_hex("0x8", 2)
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            decode_model(text, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: transform_circuit(AigCircuit(2), NpnTransform.identity(3)),
+            "arity mismatch: circuit n=2, transform n=3",
+        ),
+        (
+            lambda: enumerate_classes(2).classify(parse_hex("0x6", 3)),
+            "arity mismatch: table n=3, classes n=2",
+        ),
+        (
+            lambda: build_detector(3, Assignment(2, 1)),
+            "arity mismatch: n=3, assignment n=2",
+        ),
+        (
+            lambda: parse_hex("0x6", 2).hamming(parse_hex("0x6", 3)),
+            "arity mismatch: n=2 vs n=3",
+        ),
+        (lambda: var_table(3, 3), "variable index 3 out of range for n=3"),
+        (lambda: exists_circuit(parse_hex("0x6", 2), -1), "gate count must be >= 0"),
+    ],
+    ids=["transform-circuit", "classify", "detector", "hamming", "var-table", "gates"],
+)
+def test_bad_arguments_raise_named_errors(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_decode_model_rejects_inconsistent_selection():
