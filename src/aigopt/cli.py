@@ -23,8 +23,7 @@ import os
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import asdict
-from datetime import datetime, timezone
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -91,11 +90,11 @@ def _load_store(path: Path, n: int) -> LoadedStore:
     return loaded
 
 
-def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> dict:
-    """Worker-friendly synthesis: picklable arguments in, plain dict out."""
-    tt = parse_hex(tt_hex, n)
+def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> ResultRecord | dict:
+    """Worker-friendly synthesis: picklable arguments in, record out, or the
+    inconclusive document."""
     try:
-        result = opt_size(tt, cfg)
+        return record_from_result(opt_size(parse_hex(tt_hex, n), cfg))
     except SearchInconclusiveError as exc:
         return {
             "tt": tt_hex,
@@ -104,7 +103,6 @@ def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> dict:
             "max_gates": exc.max_gates,
             "exhausted_below": exc.exhausted_below,
         }
-    return asdict(record_from_result(result))
 
 
 def cmd_synth(args) -> int:
@@ -115,22 +113,21 @@ def cmd_synth(args) -> int:
         _load_store(store, args.n)
 
     outcome = _synth_one(tt.hex(), args.n, cfg)
-    if "error" in outcome:
+    if isinstance(outcome, dict):
         _emit({"schema": "aigopt.synth/1", **outcome})
         _human(
             f"{tt.hex()}: inconclusive, no witness within {outcome['max_gates']} "
             f"gates (infeasible through k={outcome['exhausted_below']})"
         )
         return EXIT_UPPER_BOUND
-    record = ResultRecord(**outcome)
     if store is not None:
-        append_record(store, record)
-    _emit({"schema": "aigopt.synth/1", **outcome})
+        append_record(store, outcome)
+    _emit({"schema": "aigopt.synth/1", **asdict(outcome)})
     _human(
-        f"{record.tt_hex} (n={record.n}): size {record.size} [{record.status}] "
-        f"exhausted_below={record.exhausted_below} in {record.elapsed_ms} ms"
+        f"{outcome.tt_hex} (n={outcome.n}): size {outcome.size} [{outcome.status}] "
+        f"exhausted_below={outcome.exhausted_below} in {outcome.elapsed_ms} ms"
     )
-    return EXIT_OK if record.status == Status.EXACT.value else EXIT_UPPER_BOUND
+    return EXIT_OK if outcome.status == Status.EXACT.value else EXIT_UPPER_BOUND
 
 
 def cmd_cnf_export(args) -> int:
@@ -218,17 +215,16 @@ def cmd_campaign(args) -> int:
         # Each record is appended as its class finishes, so a crash loses only
         # the classes still running; a worker error is raised after those.
         for outcome in outcomes:
-            if "error" in outcome:
+            if isinstance(outcome, dict):
                 failed += 1
                 _human(f"{outcome['tt']}: inconclusive within {outcome['max_gates']} gates")
                 continue
-            record = ResultRecord(**outcome)
-            append_record(store, record)
-            if record.status == Status.EXACT.value:
+            append_record(store, outcome)
+            if outcome.status == Status.EXACT.value:
                 exact += 1
             else:
                 upper += 1
-            _human(f"{record.tt_hex}: size {record.size} [{record.status}]")
+            _human(f"{outcome.tt_hex}: size {outcome.size} [{outcome.status}]")
     _emit(
         {
             "schema": "aigopt.campaign/1",
@@ -394,24 +390,15 @@ def cmd_oracle(args) -> int:
     started = time.monotonic()
     table = enumerate_classes(args.n)
     solved = [opt_size(c.canon) for c in table]
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    stamp = datetime.now(timezone.utc).isoformat()
+    elapsed = time.monotonic() - started
     functions = 1 << (1 << args.n)
     for bits in range(functions):
         tt = TruthTable(args.n, bits)
         result = solved[table.classify(tt)]
-        record = ResultRecord(
-            tt_hex=tt.hex(),
-            n=args.n,
-            size=result.size,
-            status=result.status.value,
-            exhausted_below=result.exhausted_below,
-            witness_aag=to_aiger(retarget(result.witness, result.tt.bits, tt)),
-            backend="oracle",
-            elapsed_ms=elapsed_ms,
-            timestamp=stamp,
+        moved = replace(
+            result, tt=tt, witness=retarget(result.witness, result.tt.bits, tt), elapsed=elapsed
         )
-        append_record(store, record)
+        append_record(store, record_from_result(moved, backend="oracle"))
     max_size = max(result.size for result in solved)
     _emit(
         {
@@ -419,7 +406,7 @@ def cmd_oracle(args) -> int:
             "n": args.n,
             "functions": functions,
             "max_size": max_size,
-            "elapsed_ms": elapsed_ms,
+            "elapsed_ms": int(elapsed * 1000),
             "store": str(store),
         }
     )

@@ -1,10 +1,11 @@
 """Append-only result store for long synthesis campaigns.
 
 One JSON object per line after a version header, so a crashed run loses at
-most its final partial line and a restart simply appends.  Nothing persisted
-is trusted: every witness is re-parsed and re-simulated at load time, and a
-line failing any check is reported with its line number, never silently
-dropped.
+most its final partial line and a restart simply appends.  A torn last line is
+ended before the next record is written, so it stays on a line of its own and
+costs no record but its own.  Nothing persisted is trusted: every witness is
+re-parsed and re-simulated at load time, and a line failing any check is
+reported with its line number, never silently dropped.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class ResultRecord:
     # Provenance: "enum" (opt_size on this table) or "oracle" (opt_size on its
     # NPN class, the witness moved to this table by npn.retarget, which trusts
     # the pattern it is given; verify() is where the witness is simulated).
+    # Every record is built by record_from_result, which sets it.
     backend: str
     elapsed_ms: int
     timestamp: str  # UTC ISO-8601
@@ -69,7 +71,7 @@ class ResultRecord:
             )
 
 
-def record_from_result(result: OptResult) -> ResultRecord:
+def record_from_result(result: OptResult, backend: str = "enum") -> ResultRecord:
     return ResultRecord(
         tt_hex=result.tt.hex(),
         n=result.tt.n,
@@ -77,7 +79,7 @@ def record_from_result(result: OptResult) -> ResultRecord:
         status=result.status.value,
         exhausted_below=result.exhausted_below,
         witness_aag=to_aiger(result.witness),
-        backend="enum",
+        backend=backend,
         elapsed_ms=int(result.elapsed * 1000),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
@@ -86,11 +88,16 @@ def record_from_result(result: OptResult) -> ResultRecord:
 def append_record(path: str | Path, record: ResultRecord) -> None:
     record.verify()
     path = Path(path)
-    fresh = not path.exists() or path.stat().st_size == 0
-    with path.open("a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(HEADER + "\n")
-        fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+    with path.open("a+b") as fh:
+        if fh.tell() == 0:
+            fh.write(HEADER.encode() + b"\n")
+        else:
+            # A crash may have torn the last line: end it, so that this
+            # record is not read as part of it.
+            fh.seek(fh.tell() - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+        fh.write(json.dumps(asdict(record), sort_keys=True).encode() + b"\n")
 
 
 @dataclass(frozen=True, slots=True)

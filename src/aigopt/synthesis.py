@@ -354,8 +354,8 @@ def exists_circuit(
     ``tt``'s NPN orbit; a witness is mapped back to ``tt`` before it is
     returned.
     """
-    if k < 0:
-        raise ValueError("gate count must be >= 0")
+    if not 0 <= k <= MAX_GATES:
+        raise ValueError(f"gate count must be in 0..{MAX_GATES}, got {k}")
     n = tt.n
     mask = tt.mask
     # The orbit is built before the clock starts: the budget bounds the

@@ -1,10 +1,14 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import aigopt
 from aigopt.aig import from_aiger, to_aiger
 from aigopt.cli import (
     EXIT_BOUND_VIOLATION,
@@ -228,6 +232,33 @@ def test_oracle_agrees_with_brute_oracle_n3(capsys, tmp_path, oracle3):
         witness = from_aiger(rec.witness_aag)
         assert witness.evaluate().bits == bits
         assert witness.size() == rec.size
+
+
+@pytest.mark.parametrize(
+    "argv, backend",
+    [
+        (["oracle", "-n", "2"], "oracle"),
+        (["synth", "0x6", "-n", "2"], "enum"),
+        (["campaign", "-n", "2"], "enum"),
+    ],
+    ids=["oracle", "synth", "campaign"],
+)
+def test_store_records_name_their_provenance(capsys, tmp_path, argv, backend):
+    store = tmp_path / "s.jsonl"
+    code, out, _ = run(capsys, *argv, "--store", str(store))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    lines = [json.loads(line) for line in store.read_text().splitlines()[1:]]
+    assert {rec["backend"] for rec in lines} == {backend}
+    if argv[0] == "oracle":
+        # one search time for the whole run, shared by every function
+        assert len(lines) == 16
+        assert {rec["elapsed_ms"] for rec in lines} == {doc["elapsed_ms"]}
+    elif argv[0] == "synth":
+        del doc["schema"]
+        assert lines == [doc]
+    else:
+        assert len(lines) == doc["new_exact"] == 4
 
 
 def test_graph_csv_edges(capsys, tmp_path):
@@ -744,6 +775,23 @@ def test_cli_option_surface(capsys):
 
 def test_usage_exit_code(capsys):
     assert main(["nonsense"]) == EXIT_USAGE
+
+
+def test_module_entry_point_exits_with_main_code():
+    src = str(Path(aigopt.__file__).resolve().parent.parent)
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "aigopt.cli", *argv],
+            capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+        )
+
+    listed = cli("classify", "-n", "2")
+    assert listed.returncode == EXIT_OK, listed.stderr
+    assert json.loads(listed.stdout)["count"] == 4
+    refused = cli("synth", "0x6", "-n", "7")
+    assert refused.returncode == EXIT_USAGE
+    assert refused.stderr.splitlines() == ["error: variable count must be in 1..6, got 7"]
 
 
 def test_output_reparses_under_schema(capsys, tmp_path):

@@ -172,6 +172,19 @@ def test_corrupt_line_reported_with_number(tmp_path):
     assert [issue.line_number for issue in loaded.issues] == [3, 4]
 
 
+def test_torn_last_line_costs_no_later_record(tmp_path):
+    """A crash mid-append leaves a line with no newline; the next append
+    starts a line of its own, so only the torn record is lost."""
+    path = tmp_path / "store.jsonl"
+    append_record(path, record_from_result(opt_size(parse_hex("0x1", 2))))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"tt_hex": "0x3", "n": 2, "si')
+    append_record(path, make_record())
+    loaded = load_store(path)
+    assert sorted(loaded.best) == ["0x1", "0x6"]
+    assert [issue.line_number for issue in loaded.issues] == [3]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"timestamp": 5}, {"size": 1.0, "exhausted_below": 0.0}],

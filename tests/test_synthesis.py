@@ -604,9 +604,20 @@ def test_decode_model_reads_solver_output(text, error):
             "arity mismatch: n=2 vs n=3",
         ),
         (lambda: var_table(3, 3), "variable index 3 out of range for n=3"),
-        (lambda: exists_circuit(parse_hex("0x6", 2), -1), "gate count must be >= 0"),
+        (
+            lambda: exists_circuit(parse_hex("0x6", 2), -1),
+            f"gate count must be in 0..{MAX_GATES}, got -1",
+        ),
+        (
+            lambda: exists_circuit(
+                parse_hex("0x6996", 4), MAX_GATES + 1, SynthesisConfig(time_budget=0.5)
+            ),
+            f"gate count must be in 0..{MAX_GATES}, got {MAX_GATES + 1}",
+        ),
     ],
-    ids=["transform-circuit", "classify", "detector", "hamming", "var-table", "gates"],
+    ids=[
+        "transform-circuit", "classify", "detector", "hamming", "var-table", "gates", "above-cap",
+    ],
 )
 def test_bad_arguments_raise_named_errors(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
