@@ -3,7 +3,7 @@
 from .truthtable import Assignment, TruthTable, parse_hex
 from .aig import AigCircuit, AndGate, Literal, from_aiger, to_aiger
 from .npn import NpnClass, NpnClassTable, NpnTransform, apply_transform, canonicalize, enumerate_classes
-from .synthesis import OptResult, Status, SynthesisConfig, brute_oracle, exists_circuit, opt_size
+from .synthesis import OptResult, Status, SynthesisConfig, brute_oracle, exists_circuit, opt_size, sweep
 from .cnf import decode_model, encode_cnf
 from .repair import RepairReport, build_detector, repair_clear, repair_multi, repair_set
 from .mutation import MutationEdge, MutationGraph, build_graph, class_neighbors, verify_bound
@@ -32,6 +32,7 @@ __all__ = [
     "encode_cnf",
     "exists_circuit",
     "opt_size",
+    "sweep",
     "RepairReport",
     "build_detector",
     "repair_clear",

@@ -4,12 +4,14 @@ Node indexing: 0 is the constant-false node, 1..n are the inputs, and
 n+1..n+k are the AND gates in topological order.  Inverters are free edge
 attributes, so circuit size is the gate count alone.  Gate fanins are kept
 sorted by (node, complement) so that structurally equal circuits compare
-equal.  A circuit is checked when it is made, so no consumer checks it again.
+equal.  A circuit is checked when it is made, so no consumer checks it again,
+and simulated at most once, the first time ``evaluate`` is called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .truthtable import TruthTable, _check_var_count, var_table
 
@@ -77,21 +79,29 @@ class AigCircuit:
             raise ValueError("invalid circuit: " + "; ".join(problems))
 
     def evaluate(self) -> TruthTable:
-        """Bitwise-parallel simulation over all 2^n input rows."""
+        """Bitwise-parallel simulation over all 2^n input rows, run once per
+        circuit: the circuit is immutable, so its table is kept."""
+        return self._table
+
+    # Not a dataclass field: equality, hash, repr and ``replace`` ignore it,
+    # and a circuit that ``replace`` makes is simulated afresh.
+    @cached_property
+    def _table(self) -> TruthTable:
+        n = self.n
         # Checked before anything is sized by n: the mask alone has 2^n bits.
-        _check_var_count(self.n)
-        mask = (1 << (1 << self.n)) - 1
-        values = [0] * self.node_count
-        for i in range(self.n):
-            values[i + 1] = var_table(self.n, i).bits
-
-        def lit_value(lit: Literal) -> int:
-            v = values[lit.node]
-            return v ^ mask if lit.complement else v
-
-        for gi, g in enumerate(self.gates):
-            values[self.n + 1 + gi] = lit_value(g.fanin0) & lit_value(g.fanin1)
-        return TruthTable(self.n, lit_value(self.output))
+        _check_var_count(n)
+        mask = (1 << (1 << n)) - 1
+        values = [0]
+        for i in range(n):
+            values.append(var_table(n, i).bits)
+        for g in self.gates:
+            a, b = g.fanin0, g.fanin1
+            values.append(
+                (values[a.node] ^ (mask if a.complement else 0))
+                & (values[b.node] ^ (mask if b.complement else 0))
+            )
+        out = self.output
+        return TruthTable(n, values[out.node] ^ (mask if out.complement else 0))
 
     def eval_row(self, row: int) -> int:
         """Single-assignment evaluation; slow path used for cross-checks."""

@@ -5,9 +5,10 @@ summaries go to stderr, where ``graph`` also prints its |delta| histogram.
 ``classify`` and ``graph`` print CSV instead with ``--format csv``.  ``synth``
 searches one function, ``campaign`` every NPN class of n (appending each record
 as its class finishes) and ``cnf-export`` streams DIMACS queries to disk.
-``oracle`` runs ``opt_size`` once per NPN class of n <= 3 and stores every
-function with its class's witness moved to it by ``npn.retarget``, from the
-class canon that witness computes.  Commands that
+``oracle`` settles every NPN class of n <= 3 in one ``sweep``, which walks
+each gate count once for all classes, and stores every function the store
+does not yet hold as exact, with its class's witness moved to it by
+``npn.retarget`` from the class canon that witness computes.  Commands that
 enumerate NPN classes (``classify``, ``graph``, ``verify``, ``campaign``)
 accept n <= 4 only.  Exit codes: 0 success (or bound holds), 1 usage error or
 a file that cannot be read or written, 2 upper-bound/unknown result (also a
@@ -33,7 +34,7 @@ from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_b
 from .npn import enumerate_classes, retarget
 from .repair import repair_multi
 from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
-from .synthesis import MAX_GATES, SearchInconclusiveError, Status, SynthesisConfig, opt_size
+from .synthesis import MAX_GATES, SearchInconclusiveError, Status, SynthesisConfig, opt_size, sweep
 from .truthtable import TruthTable, parse_hex
 
 EXIT_OK = 0
@@ -88,6 +89,17 @@ def _load_store(path: Path, n: int) -> LoadedStore:
             f"not only n={n}; keep one store per n"
         )
     return loaded
+
+
+def _exact_tables(path: Path, n: int) -> set[str]:
+    """The tables the store at ``path`` already holds as exact, if it exists."""
+    if not path.exists():
+        return set()
+    return {
+        rec.tt_hex
+        for rec in _load_store(path, n).best.values()
+        if rec.status == Status.EXACT.value
+    }
 
 
 def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> ResultRecord | dict:
@@ -188,13 +200,7 @@ def cmd_campaign(args) -> int:
         raise ValueError(f"--jobs must be in 1..{cpus}, the CPU count")
     store = _required_store(args)
     table = enumerate_classes(args.n)
-    done: set[str] = set()
-    if store.exists():
-        done = {
-            rec.tt_hex
-            for rec in _load_store(store, args.n).best.values()
-            if rec.status == Status.EXACT.value
-        }
+    done = _exact_tables(store, args.n)
     todo = [c.canon.hex() for c in table if c.canon.hex() not in done]
     # The store may also hold records of functions that are not class
     # representatives (``oracle`` writes every function), so count classes.
@@ -385,21 +391,26 @@ def cmd_repair(args) -> int:
 
 def cmd_oracle(args) -> int:
     store = _required_store(args)
-    if store.exists():
-        _load_store(store, args.n)
+    done = _exact_tables(store, args.n)
     started = time.monotonic()
     table = enumerate_classes(args.n)
-    solved = [opt_size(c.canon) for c in table]
+    solved = {}
+    for level in sweep(table):
+        solved.update(level.settled)
     elapsed = time.monotonic() - started
     functions = 1 << (1 << args.n)
-    for bits in range(functions):
+    records = []
+    for bits, index in enumerate(table.function_class):
         tt = TruthTable(args.n, bits)
-        result = solved[table.classify(tt)]
+        if tt.hex() in done:
+            continue
+        result = solved[index]
         moved = replace(
             result, tt=tt, witness=retarget(result.witness, result.tt.bits, tt), elapsed=elapsed
         )
-        append_record(store, record_from_result(moved, backend="oracle"))
-    max_size = max(result.size for result in solved)
+        records.append(record_from_result(moved, backend="oracle"))
+    append_record(store, *records)
+    max_size = max(result.size for result in solved.values())
     _emit(
         {
             "schema": "aigopt.oracle/1",
@@ -410,7 +421,10 @@ def cmd_oracle(args) -> int:
             "store": str(store),
         }
     )
-    _human(f"oracle: {functions} exact records (max size {max_size}) -> {store}")
+    _human(
+        f"oracle: {functions} exact records (max size {max_size}), "
+        f"{len(records)} new -> {store}"
+    )
     return EXIT_OK
 
 

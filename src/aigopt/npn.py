@@ -259,7 +259,7 @@ class NpnClassTable:
         self.classes = classes
         # Dense map from every function's bits to its class index, filled in
         # by enumerate_classes as a byproduct of orbit marking.
-        self._function_class = function_class
+        self._function_class = tuple(function_class)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -270,11 +270,16 @@ class NpnClassTable:
     def __getitem__(self, class_index: int) -> NpnClass:
         return self.classes[class_index]
 
+    @property
+    def function_class(self) -> tuple[int, ...]:
+        """The class index of every function, indexed by its bit pattern."""
+        return self._function_class
+
     def classify(self, tt: TruthTable) -> int:
         """Class index of an arbitrary (not necessarily canonical) table."""
         if tt.n != self.n:
             raise ValueError(f"arity mismatch: table n={tt.n}, classes n={self.n}")
-        return self._function_class[tt.bits]
+        return self.function_class[tt.bits]
 
 
 def enumerate_classes(n: int) -> NpnClassTable:

@@ -30,9 +30,10 @@ class ResultRecord:
     status: str  # "exact" | "upper-bound"
     exhausted_below: int
     witness_aag: str
-    # Provenance: "enum" (opt_size on this table) or "oracle" (opt_size on its
-    # NPN class, the witness moved to this table by npn.retarget, which trusts
-    # the pattern it is given; verify() is where the witness is simulated).
+    # Provenance: "enum" (opt_size on this table) or "oracle" (the sweep's
+    # witness for its NPN class, moved to this table by npn.retarget, which
+    # trusts the pattern it is given; verify() is where the witness is
+    # simulated).
     # Every record is built by record_from_result, which sets it.
     backend: str
     elapsed_ms: int
@@ -85,19 +86,27 @@ def record_from_result(result: OptResult, backend: str = "enum") -> ResultRecord
     )
 
 
-def append_record(path: str | Path, record: ResultRecord) -> None:
-    record.verify()
+def append_record(path: str | Path, *records: ResultRecord) -> None:
+    """Append ``records`` in one open.  Each is verified, then written and
+    flushed whole before the next is verified, so a crash loses at most the
+    record being written; a record that fails verification raises, and the
+    ones before it stay written."""
     path = Path(path)
     with path.open("a+b") as fh:
         if fh.tell() == 0:
             fh.write(HEADER.encode() + b"\n")
         else:
-            # A crash may have torn the last line: end it, so that this
+            # A crash may have torn the last line: end it, so that the next
             # record is not read as part of it.
             fh.seek(fh.tell() - 1)
             if fh.read(1) != b"\n":
                 fh.write(b"\n")
-        fh.write(json.dumps(asdict(record), sort_keys=True).encode() + b"\n")
+        for record in records:
+            record.verify()
+            fh.write(json.dumps(asdict(record), sort_keys=True).encode() + b"\n")
+            # The buffered writer's flush retries a short write until the
+            # whole line is out.
+            fh.flush()
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,11 +2,13 @@
 
 Two routes live here:
 
-* ``exists_circuit`` / ``opt_size`` — iterative-deepening search over a
-  canonical, symmetry-broken circuit space for any function in the target's
-  NPN orbit.  This is the one engine that answers size queries, the
-  ``oracle`` command's included; ``SynthesisConfig`` sets only its gate cap
-  and per-query time budget.
+* ``_walk`` — one walk over a canonical, symmetry-broken circuit space, the
+  one engine that answers size queries.  It has two leaves (see "One walk,
+  two leaves" below): ``exists_circuit`` / ``opt_size``, an
+  iterative-deepening search for any function in the target's NPN orbit,
+  and ``sweep``, which walks each gate count once for every class of n and
+  serves the ``oracle`` command.  ``SynthesisConfig`` sets only the
+  per-class search's gate cap and per-query time budget.
 * ``brute_oracle`` — an independent breadth-first sweep over reachable
   function sets for n <= 3, covering every function at once.  It returns
   sizes only, shares no search code with the orbit search and is the
@@ -102,9 +104,9 @@ computes another function:
   (complemented) edge to that node.
 
 The last gate is decided without walking its list, inside the loop of the
-second-to-last gate, with no call per decision.  It must compute an orbit
-member, and no earlier node may already compute one up to complement (that
-node would be a smaller witness).  It must also read every pending node.
+second-to-last gate, with no call per decision.  It must compute a hit, and
+no earlier node may already compute one up to complement (that node would
+be a smaller witness).  It must also read every pending node.
 Beyond k = 1 the gate just placed is always pending, and the slot count
 leaves at most one other pending node, a gate or an input, so only the pairs
 that read the newest gate (and that other node, if any) can close the
@@ -114,6 +116,25 @@ second-to-last gate's signature and stabilizer.  ``nodes_visited`` still
 counts what a walk of the whole list would: every pair up to the
 first that closes, which is the witness such a walk returns, or the whole
 list when none does.  The node counts therefore stay regression gates.
+
+One walk, two leaves.  ``_walk`` takes an accept set closed under NPN, the
+initial pending inputs and an ``on_hit(circuit, w)`` callback, which runs
+only on a hit, never per closing pair, and stops the walk by returning true.
+
+* The per-class leaf, ``exists_circuit``, accepts ``orbit(tt).members`` and
+  stops at the first hit.
+* The sweep leaf, ``sweep``, accepts every function whose class is not yet
+  settled.  A hit keeps its class's first witness, removes the class's orbit
+  from the set, and the level stops once the set is empty.  That first hit is
+  the one the class's own walk would find, so the witnesses are the same.
+
+The walk's two prunings for the per-class target at the second-to-last
+gate, that no earlier node and not the gate just placed computes a hit,
+never fire in a sweep whose levels run in order: a node of a (k - 1)-gate
+prefix computes a function of size <= k - 1, which a lower level has already
+settled and removed from the set.  A sweep has no single support size, so
+its inputs join the pending set only once every class of support < n is
+settled; until then a circuit for an open class need not read every input.
 
 Because the reductions forbid redundant gates, ``exists_circuit(tt, k)`` may
 report k infeasible for k above the optimum (a constant has no witness at
@@ -125,13 +146,14 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
 
 from .aig import AigCircuit, AndGate, Literal
-from .npn import orbit, retarget
+from .npn import NpnClassTable, orbit, retarget
 from .truthtable import TruthTable, var_table
 
 
@@ -345,43 +367,40 @@ def _dead_sigs(n: int) -> set[int]:
     return dead
 
 
-def exists_circuit(
-    tt: TruthTable, k: int, cfg: SynthesisConfig = DEFAULT_CONFIG
-) -> ExistsOutcome:
-    """Search for a k-gate AIG computing ``tt``.
+def _support(tt: TruthTable) -> int:
+    """How many inputs ``tt`` depends on, the same for every member of its
+    orbit: x_i is essential when the rows with x_i = 1 differ from those with
+    x_i = 0."""
+    count = 0
+    for i in range(tt.n):
+        v = var_table(tt.n, i).bits
+        count += (tt.bits & v) >> (1 << i) != tt.bits & ~v
+    return count
 
-    The canonical space is searched for a circuit computing any member of
-    ``tt``'s NPN orbit; a witness is mapped back to ``tt`` before it is
-    returned.
-    """
-    if not 0 <= k <= MAX_GATES:
-        raise ValueError(f"gate count must be in 0..{MAX_GATES}, got {k}")
-    n = tt.n
-    mask = tt.mask
-    # The orbit is built before the clock starts: the budget bounds the
-    # search, not this fixed set-up (~15 ms at n = 6) that every k shares.
-    # It is closed under complement, so its member set also holds every
-    # pattern normalized up to complement.
-    targets = orbit(tt).members
-    start = time.monotonic()
-    deadline = None if cfg.time_budget is None else start + cfg.time_budget
 
+def _walk(
+    n: int, k: int, accept, pending: int, on_hit, deadline: float | None
+) -> tuple[int, bool]:
+    """Walk the canonical space of k-gate circuits over n inputs in order.
+    Each circuit whose output w lies in ``accept`` is a hit, passed to
+    ``on_hit(circuit, w)``; the walk stops when that returns true.  ``accept``
+    must be closed under complement and may shrink during the walk.
+    ``pending`` is the bitmask of inputs some gate must read.  Returns the
+    nodes visited and whether ``deadline`` stopped the walk."""
+    mask = (1 << (1 << n)) - 1
     values = [0] * (n + 1 + k)
     seen = {0}
     for i in range(1, n + 1):
         v = values[i] = var_table(n, i - 1).bits
         seen.add(min(v, v ^ mask))
-    # How many inputs the target depends on, the same for every orbit member:
-    # x_i is essential when the rows with x_i = 1 differ from those with 0.
-    bits = tt.bits
-    support = sum((bits & v) >> (1 << i) != bits & ~v for i, v in enumerate(values[1 : n + 1]))
 
     chain: list[tuple[int, int, int, int, int, int]] = []
     nodes_visited = 0
 
-    def search(node: int, prev_sig: int, pending: int, stab: int) -> AigCircuit | None:
+    def search(node: int, prev_sig: int, pending: int, stab: int) -> bool:
         """Place the gate at ``node`` under ``stab``; ``pending`` is a bitmask
-        of the unread nodes that some later gate must read."""
+        of the unread nodes that some later gate must read.  True stops the
+        walk."""
         nonlocal nodes_visited
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
@@ -391,8 +410,8 @@ def exists_circuit(
         if node == n + k - 1:
             # The last gate is decided here, in closed form: it is counted as
             # a walk of its whole list that stops at the first pair closing
-            # the circuit.  No node may already compute an orbit member.
-            hit_before = not seen.isdisjoint(targets)
+            # the circuit.  No node may already compute a hit.
+            hit_before = not seen.isdisjoint(accept)
             for cand in pairs:
                 sig, j0, x0, j1, x1, nxt = cand
                 nodes_visited += 1
@@ -406,19 +425,20 @@ def exists_circuit(
                 if other & (other - 1):
                     continue
                 last_pairs, closers = _gate_choices(n, node, nxt, sig)
-                if hit_before or v in targets:
+                if hit_before or v in accept:
                     nodes_visited += len(last_pairs)
                     continue
                 values[node] = v
                 for close in closers[other]:
                     _, a0, y0, a1, y1, _ = close
                     w = (values[a0] ^ y0) & (values[a1] ^ y1)
-                    if w in targets:
+                    if w in accept and on_hit(
+                        _chain_to_circuit(n, chain + [cand, close], complement=False), w
+                    ):
                         nodes_visited += last_pairs.index(close) + 1
-                        found = _chain_to_circuit(n, chain + [cand, close], complement=False)
-                        return retarget(found, w, tt)
+                        return True
                 nodes_visited += len(last_pairs)
-            return None
+            return False
 
         # Each gate but the output is read by a later gate, and so is every
         # pending node: with r gates left, at most r + 1 may be pending.
@@ -439,49 +459,79 @@ def exists_circuit(
             seen.add(vn)
             chain.append(cand)
 
-            found = search(node + 1, sig, new_pending, nxt)
+            stop = search(node + 1, sig, new_pending, nxt)
 
             chain.pop()
             seen.discard(vn)
 
-            if found is not None:
-                return found
-        return None
+            if stop:
+                return True
+        return False
 
     try:
         if k == 0:
-            # A constant or a literal: the orbit holds x0 whenever it holds
-            # any literal, so node 0 or node 1 answers if any zero-gate
-            # circuit does.
-            hit = next((j for j in (0, 1) if values[j] in targets), None)
-            witness = (
-                None if hit is None else retarget(AigCircuit(n, (), Literal(hit)), values[hit], tt)
-            )
-        elif support > k + 1:
-            # k gates read at most k + 1 distinct inputs.
-            witness = None
+            # A constant or a literal: an accept set closed under NPN holds
+            # x0 whenever it holds any literal, so nodes 0 and 1 are every
+            # zero-gate circuit there is to test.
+            for j in (0, 1):
+                if values[j] in accept and on_hit(AigCircuit(n, (), Literal(j)), values[j]):
+                    break
         elif k == 1:
             # The one 1-gate circuit in the canonical space is x0 AND x1.
-            witness = None
             for cand in _gate_choices(n, n, _TRIVIAL, -1)[0]:
                 nodes_visited += 1
                 v = values[1] & values[2]
-                if v in targets and seen.isdisjoint(targets):
-                    witness = retarget(_chain_to_circuit(n, [cand], complement=False), v, tt)
+                if v in accept and seen.isdisjoint(accept):
+                    on_hit(_chain_to_circuit(n, [cand], complement=False), v)
         else:
-            # Inputs are pending only when every orbit member reads all n.
-            pending = (1 << (n + 1)) - 2 if support == n else 0
-            witness = search(n + 1, -1, pending, _TRIVIAL)
+            search(n + 1, -1, pending, _TRIVIAL)
     except _BudgetExceeded:
-        return ExistsOutcome(None, False, nodes_visited, time.monotonic() - start)
+        return nodes_visited, True
     finally:
         # ``search`` reaches itself through its closure.  Breaking that cycle
-        # frees the search's state and the orbit set on return, not at the
+        # frees the walk's state and the accept set on return, not at the
         # next full garbage collection.
         del search
-    return ExistsOutcome(
-        witness, witness is None, nodes_visited, time.monotonic() - start
-    )
+    return nodes_visited, False
+
+
+def exists_circuit(
+    tt: TruthTable, k: int, cfg: SynthesisConfig = DEFAULT_CONFIG
+) -> ExistsOutcome:
+    """Search for a k-gate AIG computing ``tt``.
+
+    The canonical space is searched for a circuit computing any member of
+    ``tt``'s NPN orbit; the first witness found is mapped back to ``tt``
+    before it is returned.
+    """
+    if not 0 <= k <= MAX_GATES:
+        raise ValueError(f"gate count must be in 0..{MAX_GATES}, got {k}")
+    # The orbit is built before the clock starts: the budget bounds the
+    # search, not this fixed set-up (~15 ms at n = 6) that every k shares.
+    # It is closed under complement, so its member set also holds every
+    # pattern normalized up to complement.
+    targets = orbit(tt).members
+    start = time.monotonic()
+    deadline = None if cfg.time_budget is None else start + cfg.time_budget
+    support = _support(tt)
+    found = []
+
+    def on_hit(circuit: AigCircuit, w: int) -> bool:
+        found.append(retarget(circuit, w, tt))
+        return True
+
+    if support > k + 1:
+        # k gates read at most k + 1 distinct inputs.
+        nodes_visited, stopped = 0, False
+    else:
+        # Inputs are pending only when every orbit member reads all n.
+        pending = (1 << (tt.n + 1)) - 2 if support == tt.n else 0
+        nodes_visited, stopped = _walk(tt.n, k, targets, pending, on_hit, deadline)
+    elapsed = time.monotonic() - start
+    if stopped:
+        return ExistsOutcome(None, False, nodes_visited, elapsed)
+    witness = found[0] if found else None
+    return ExistsOutcome(witness, witness is None, nodes_visited, elapsed)
 
 
 def _chain_to_circuit(n: int, chain, complement: bool) -> AigCircuit:
@@ -517,6 +567,51 @@ def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult
         else:
             contiguous = False
     raise SearchInconclusiveError(tt, cfg.max_gates, exhausted_below)
+
+
+@dataclass(frozen=True, slots=True)
+class SweepLevel:
+    """One level of ``sweep``: its gate count k, the nodes its walk visited,
+    and the classes it settled, by class index, in the order found."""
+
+    k: int
+    nodes_visited: int
+    settled: dict[int, OptResult]
+
+
+def sweep(table: NpnClassTable) -> Iterator[SweepLevel]:
+    """Settle every class of ``table`` by walking k = 0, 1, ... once each.
+
+    A level accepts every function whose class is still open, keeps the
+    first witness of each class it hits, moved onto the class canon by
+    ``npn.retarget``, and closes that class's orbit.  Every class a level
+    settles is Exact with ``exhausted_below = k - 1``: the levels below were
+    walked in full.  Its ``elapsed`` is 0.0, since one walk settles many
+    classes; a caller times the sweep.  The sweep ends after the level that
+    settles the last class; a caller may stop it after any level.
+    """
+    n = table.n
+    class_of = table.function_class
+    open_functions = set(range(len(class_of)))
+    narrow = {c.class_index for c in table if _support(c.canon) < n}
+    for k in range(MAX_GATES + 1):
+        settled: dict[int, OptResult] = {}
+
+        def on_hit(circuit: AigCircuit, w: int) -> bool:
+            index = class_of[w]
+            canon = table[index].canon
+            open_functions.difference_update(orbit(canon).members)
+            narrow.discard(index)
+            witness = retarget(circuit, w, canon)
+            settled[index] = OptResult(canon, k, Status.EXACT, witness, k - 1, 0.0)
+            return not open_functions
+
+        # A class of fewer than n inputs need not read them all.
+        pending = 0 if narrow else (1 << (n + 1)) - 2
+        nodes_visited, _ = _walk(n, k, open_functions, pending, on_hit, None)
+        yield SweepLevel(k, nodes_visited, settled)
+        if not open_functions:
+            return
 
 
 # ---------------------------------------------------------------------------

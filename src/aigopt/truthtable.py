@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_VARS = 6
 _HEX_DIGITS = re.compile("[0-9a-fA-F]+")
@@ -121,6 +122,9 @@ def parse_hex(text: str, n: int) -> TruthTable:
     return TruthTable(n, bits)
 
 
+# A call that raises is not cached, so every bad call is checked; the valid
+# calls are at most 21.
+@lru_cache(maxsize=None)
 def var_table(n: int, i: int) -> TruthTable:
     """Truth table of the bare variable x_i (the projection function)."""
     _check_var_count(n)

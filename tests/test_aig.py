@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -100,6 +101,20 @@ def test_evaluate_matches_row_by_row():
         table = c.evaluate()
         for row in range(16):
             assert (table.bits >> row) & 1 == c.eval_row(row)
+
+
+def test_evaluate_keeps_its_table_outside_the_fields():
+    """A circuit is simulated once; its table is no field, so equality, hash,
+    repr and ``replace`` see only n, gates and output."""
+    c = AigCircuit(2, (and_gate(1, False, 2, False),), Literal(3))
+    twin = AigCircuit(2, (and_gate(1, False, 2, False),), Literal(3))
+    table = c.evaluate()
+    assert c.evaluate() is table
+    assert [f.name for f in fields(c)] == ["n", "gates", "output"]
+    assert (c, hash(c), repr(c)) == (twin, hash(twin), repr(twin))
+    copy = replace(c)
+    assert copy == c and "_table" not in vars(copy)
+    assert copy.evaluate() == table
 
 
 def test_evaluate_rejects_invalid_circuit():

@@ -217,7 +217,7 @@ def test_verify_names_the_edges_it_checked(
 
 
 def test_oracle_agrees_with_brute_oracle_n3(capsys, tmp_path, oracle3):
-    """Two routes at n=3: per-class opt_size witnesses mapped to every
+    """Two routes at n=3: the sweep's class witnesses mapped to every
     function, against the breadth-first reference sizes."""
     store = tmp_path / "oracle3.jsonl"
     code, out, _ = run(capsys, "oracle", "-n", "3", "--store", str(store))
@@ -232,6 +232,24 @@ def test_oracle_agrees_with_brute_oracle_n3(capsys, tmp_path, oracle3):
         witness = from_aiger(rec.witness_aag)
         assert witness.evaluate().bits == bits
         assert witness.size() == rec.size
+
+
+def test_oracle_appends_only_tables_not_yet_exact(capsys, tmp_path):
+    """A table the store already holds as exact gets no second record, so a
+    second run appends nothing and reports the same document."""
+    store = tmp_path / "s.jsonl"
+    assert run(capsys, "synth", "0x6", "-n", "2", "--store", str(store))[0] == EXIT_OK
+    docs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "oracle", "-n", "2", "--store", str(store))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        del doc["elapsed_ms"]
+        docs.append(doc)
+        lines = [json.loads(line) for line in store.read_text().splitlines()[1:]]
+        assert len(lines) == len({rec["tt_hex"] for rec in lines}) == 16
+        assert [rec["backend"] for rec in lines].count("enum") == 1
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize(

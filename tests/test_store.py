@@ -254,6 +254,18 @@ def test_append_refuses_bad_record(tmp_path):
         append_record(tmp_path / "s.jsonl", record)
 
 
+def test_one_append_verifies_each_record_before_writing_it(tmp_path):
+    """Several records share one open, and each is verified just before it
+    is written: the one before a bad record stays, the one after is not
+    reached."""
+    path = tmp_path / "s.jsonl"
+    good = make_record()
+    later = make_record(timestamp="2026-01-01T00:00:00+00:00")
+    with pytest.raises(ValueError):
+        append_record(path, good, make_record(exhausted_below=0), later)
+    assert path.read_text().splitlines() == [HEADER, json.dumps(asdict(good), sort_keys=True)]
+
+
 def test_bulk_round_trip_random_circuits(tmp_path):
     rng = random.Random(79)
     path = tmp_path / "bulk.jsonl"

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from aigopt.synthesis import (
     brute_oracle,
     exists_circuit,
     opt_size,
+    sweep,
 )
 from aigopt.truthtable import Assignment, TruthTable, parse_hex, var_table
 
@@ -507,6 +509,45 @@ def test_deterministic_witness():
             assert outcome.proven_infeasible, tt_hex
         else:
             assert to_aiger(outcome.witness) == aag, tt_hex
+
+
+def test_sweep_levels_are_pinned(classes3, classes4):
+    """Per level k = 0, 1, ...: the nodes the one walk visits and the classes
+    it settles.  At n = 3 the inputs join the pending set from k = 4 on, once
+    x0 XOR x1 (size 3) is settled, so k = 4 and 5 visit 0x69's own proof
+    counts; k = 6 stops at the hit that settles 0x69, the last class.  At
+    n = 4 they never join below k = 7."""
+    pins = {
+        3: ([0, 1, 8, 160, 2_018, 40_411, 518_320], [2, 1, 2, 2, 4, 1, 2]),
+        4: ([0, 1, 9, 212, 3_779, 93_983, 2_790_588], [2, 1, 2, 7, 9, 24, 30]),
+    }
+    for table in (classes3, classes4):
+        nodes, settled = pins[table.n]
+        levels = list(itertools.islice(sweep(table), len(nodes)))
+        assert [level.k for level in levels] == list(range(len(nodes))), table.n
+        assert [level.nodes_visited for level in levels] == nodes, table.n
+        assert [len(level.settled) for level in levels] == settled, table.n
+
+
+def test_sweep_sizes_equal_brute_oracle_n3(classes3, oracle3):
+    size = {i: r.size for level in sweep(classes3) for i, r in level.settled.items()}
+    assert {bits: size[c] for bits, c in enumerate(classes3.function_class)} == {
+        bits: entry.size for bits, entry in oracle3.items()
+    }
+
+
+@pytest.mark.parametrize("n, max_gates, count", [(3, 6, 14), (4, 5, 45)])
+def test_sweep_witnesses_equal_opt_size(n, max_gates, count):
+    """Each class's first hit in the sweep is the first hit of its own
+    per-class walk, moved onto the canon by the same transform."""
+    table = enumerate_classes(n)
+    levels = itertools.islice(sweep(table), max_gates + 1)
+    settled = {i: r for level in levels for i, r in level.settled.items()}
+    assert len(settled) == count
+    cfg = SynthesisConfig(max_gates=max_gates)
+    for index, result in settled.items():
+        expected = opt_size(table[index].canon, cfg)
+        assert result == replace(expected, elapsed=0.0), result.tt.hex()
 
 
 # ---------------------------------------------------------------------------
