@@ -3,37 +3,37 @@
 Machine-readable JSON goes to stdout as a single document; human-readable
 summaries go to stderr, where ``graph`` also prints its |delta| histogram.
 ``classify`` and ``graph`` print CSV instead with ``--format csv``.  ``synth``
-searches one function, ``campaign`` every NPN class of n (appending each record
-as its class finishes) and ``cnf-export`` streams DIMACS queries to disk.
-``oracle`` settles every NPN class of n <= 3 in one ``sweep``, which walks
-each gate count once for all classes, and stores every function the store
-does not yet hold as exact, with its class's witness moved to it by
-``npn.retarget`` from the class canon that witness computes.  Commands that
-enumerate NPN classes (``classify``, ``graph``, ``verify``, ``campaign``)
-accept n <= 4 only.  Exit codes: 0 success (or bound holds), 1 usage error or
-a file that cannot be read or written, 2 upper-bound/unknown result (also a
-``verify`` that checked no edge), 3 bound violation, 4 incomplete store.
+searches one function and ``cnf-export`` streams DIMACS queries to disk.
+``campaign`` and ``oracle`` share one ``sweep``, which walks each gate count
+once for all classes, and walk it only until the classes the store lacks are
+settled.  ``campaign`` stores every NPN class of n, appending each level's
+records as the level ends; ``oracle`` stores every function of n <= 3, with
+its class's witness moved to it by ``npn.retarget`` from the class canon that
+witness computes.  Commands that enumerate NPN classes (``classify``,
+``graph``, ``verify``, ``campaign``) accept n <= 4 only.  Exit codes: 0
+success (or bound holds), 1 usage error or a file that cannot be read or
+written, 2 upper-bound/unknown result (also a ``verify`` that checked no
+edge), 3 bound violation, 4 incomplete store.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import os
 import sys
 import time
-from contextlib import ExitStack
 from dataclasses import asdict, replace
-from functools import partial
 from pathlib import Path
 
 from .aig import from_aiger, to_aiger
 from .cnf import encode_cnf
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
-from .npn import enumerate_classes, retarget
+from .npn import NpnClassTable, enumerate_classes, retarget
 from .repair import repair_multi
-from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
+from .store import LoadedStore, append_record, load_store, record_from_result
 from .synthesis import MAX_GATES, SearchInconclusiveError, Status, SynthesisConfig, opt_size, sweep
 from .truthtable import TruthTable, parse_hex
 
@@ -91,30 +91,30 @@ def _load_store(path: Path, n: int) -> LoadedStore:
     return loaded
 
 
-def _exact_tables(path: Path, n: int) -> set[str]:
-    """The tables the store at ``path`` already holds as exact, if it exists."""
+def _exact_tables(path: Path, n: int) -> dict[str, int]:
+    """The tables the store at ``path`` already holds as exact, with their
+    sizes, if it exists."""
     if not path.exists():
-        return set()
+        return {}
     return {
-        rec.tt_hex
+        rec.tt_hex: rec.size
         for rec in _load_store(path, n).best.values()
         if rec.status == Status.EXACT.value
     }
 
 
-def _synth_one(tt_hex: str, n: int, cfg: SynthesisConfig) -> ResultRecord | dict:
-    """Worker-friendly synthesis: picklable arguments in, record out, or the
-    inconclusive document."""
-    try:
-        return record_from_result(opt_size(parse_hex(tt_hex, n), cfg))
-    except SearchInconclusiveError as exc:
-        return {
-            "tt": tt_hex,
-            "n": n,
-            "error": "inconclusive",
-            "max_gates": exc.max_gates,
-            "exhausted_below": exc.exhausted_below,
-        }
+def _levels(table: NpnClassTable, needed: set[int], cap: int):
+    """The levels of ``sweep(table)`` up to ``cap`` gates, ending after the
+    level that settles the last class index in ``needed``; none at all when
+    ``needed`` is empty."""
+    needed = set(needed)
+    if not needed:
+        return
+    for level in itertools.islice(sweep(table), cap + 1):
+        yield level
+        needed.difference_update(level.settled)
+        if not needed:
+            return
 
 
 def cmd_synth(args) -> int:
@@ -124,22 +124,32 @@ def cmd_synth(args) -> int:
     if store is not None and store.exists():
         _load_store(store, args.n)
 
-    outcome = _synth_one(tt.hex(), args.n, cfg)
-    if isinstance(outcome, dict):
-        _emit({"schema": "aigopt.synth/1", **outcome})
+    try:
+        record = record_from_result(opt_size(tt, cfg))
+    except SearchInconclusiveError as exc:
+        _emit(
+            {
+                "schema": "aigopt.synth/1",
+                "tt": tt.hex(),
+                "n": args.n,
+                "error": "inconclusive",
+                "max_gates": exc.max_gates,
+                "exhausted_below": exc.exhausted_below,
+            }
+        )
         _human(
-            f"{tt.hex()}: inconclusive, no witness within {outcome['max_gates']} "
-            f"gates (infeasible through k={outcome['exhausted_below']})"
+            f"{tt.hex()}: inconclusive, no witness within {exc.max_gates} "
+            f"gates (infeasible through k={exc.exhausted_below})"
         )
         return EXIT_UPPER_BOUND
     if store is not None:
-        append_record(store, outcome)
-    _emit({"schema": "aigopt.synth/1", **asdict(outcome)})
+        append_record(store, record)
+    _emit({"schema": "aigopt.synth/1", **asdict(record)})
     _human(
-        f"{outcome.tt_hex} (n={outcome.n}): size {outcome.size} [{outcome.status}] "
-        f"exhausted_below={outcome.exhausted_below} in {outcome.elapsed_ms} ms"
+        f"{record.tt_hex} (n={record.n}): size {record.size} [{record.status}] "
+        f"exhausted_below={record.exhausted_below} in {record.elapsed_ms} ms"
     )
-    return EXIT_OK if outcome.status == Status.EXACT.value else EXIT_UPPER_BOUND
+    return EXIT_OK if record.status == Status.EXACT.value else EXIT_UPPER_BOUND
 
 
 def cmd_cnf_export(args) -> int:
@@ -171,79 +181,52 @@ def cmd_cnf_export(args) -> int:
     return EXIT_OK
 
 
-def _finished_outcomes(futures):
-    """Each result as its class finishes.  After the first worker error, the
-    classes not yet started are cancelled, those still running are yielded as
-    they finish, and then the error is raised."""
-    from concurrent.futures import as_completed
-
-    error = None
-    for future in as_completed(futures):
-        try:
-            outcome = future.result()
-        except Exception as exc:  # a cancelled class raises CancelledError here
-            if error is None:
-                error = exc
-                for queued in futures:
-                    queued.cancel()
-            continue
-        yield outcome
-    if error is not None:
-        raise error
-
-
 def cmd_campaign(args) -> int:
-    cfg = SynthesisConfig(max_gates=args.max_gates, time_budget=args.budget_secs)
-    # A forked pool starts all its workers at the first submit.
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise ValueError(f"--jobs must be in 1..{cpus}, the CPU count")
+    cap = SynthesisConfig(max_gates=args.max_gates).max_gates
     store = _required_store(args)
     table = enumerate_classes(args.n)
     done = _exact_tables(store, args.n)
-    todo = [c.canon.hex() for c in table if c.canon.hex() not in done]
+    todo = {c.class_index for c in table if c.canon.hex() not in done}
     # The store may also hold records of functions that are not class
     # representatives (``oracle`` writes every function), so count classes.
     skipped = len(table) - len(todo)
     _human(f"campaign: {len(table)} classes, {skipped} already exact, {len(todo)} to run")
-    exact = upper = failed = 0
-    with ExitStack() as stack:
-        run = partial(_synth_one, n=args.n, cfg=cfg)
-        outcomes = map(run, todo)
-        if args.jobs > 1:
-            # Imported here: only a pooled campaign pays for the module.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=args.jobs)
-            # On any error, the classes still queued are dropped, not run.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            outcomes = _finished_outcomes([pool.submit(run, tt_hex) for tt_hex in todo])
-        # Each record is appended as its class finishes, so a crash loses only
-        # the classes still running; a worker error is raised after those.
-        for outcome in outcomes:
-            if isinstance(outcome, dict):
-                failed += 1
-                _human(f"{outcome['tt']}: inconclusive within {outcome['max_gates']} gates")
-                continue
-            append_record(store, outcome)
-            if outcome.status == Status.EXACT.value:
-                exact += 1
-            else:
-                upper += 1
-            _human(f"{outcome.tt_hex}: size {outcome.size} [{outcome.status}]")
+    started = time.monotonic()
+    # A level's records are appended when the level ends, so a crash loses
+    # only the level under way.  That costs no work: a resumed campaign walks
+    # every level from k = 0 again, and stops after the same level, because
+    # the last class it still needs is settled there either way.
+    for level in _levels(table, todo, cap):
+        elapsed = time.monotonic() - started
+        records = [
+            record_from_result(replace(result, elapsed=elapsed), backend="sweep")
+            for index, result in level.settled.items()
+            if index in todo
+        ]
+        todo.difference_update(level.settled)
+        append_record(store, *records)
+        for record in records:
+            _human(f"{record.tt_hex}: size {record.size} [{record.status}]")
+        _human(
+            f"k={level.k}: {level.nodes_visited} nodes, {len(records)} settled, "
+            f"{elapsed:.2f}s"
+        )
+    for index in sorted(todo):
+        _human(f"{table[index].canon.hex()}: inconclusive within {cap} gates")
     _emit(
         {
             "schema": "aigopt.campaign/1",
             "n": args.n,
             "classes": len(table),
             "skipped_exact": skipped,
-            "new_exact": exact,
-            "new_upper_bound": upper,
-            "inconclusive": failed,
+            "new_exact": len(table) - skipped - len(todo),
+            # The sweep writes only Exact records.
+            "new_upper_bound": 0,
+            "inconclusive": len(todo),
             "store": str(store),
         }
     )
-    return EXIT_OK if failed == 0 and upper == 0 else EXIT_UPPER_BOUND
+    return EXIT_UPPER_BOUND if todo else EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -394,35 +377,34 @@ def cmd_oracle(args) -> int:
     done = _exact_tables(store, args.n)
     started = time.monotonic()
     table = enumerate_classes(args.n)
+    functions = [TruthTable(args.n, bits) for bits in range(len(table.function_class))]
+    missing = [tt for tt in functions if tt.hex() not in done]
+    needed = {table.function_class[tt.bits] for tt in missing}
     solved = {}
-    for level in sweep(table):
+    for level in _levels(table, needed, MAX_GATES):
         solved.update(level.settled)
     elapsed = time.monotonic() - started
-    functions = 1 << (1 << args.n)
     records = []
-    for bits, index in enumerate(table.function_class):
-        tt = TruthTable(args.n, bits)
-        if tt.hex() in done:
-            continue
-        result = solved[index]
+    for tt in missing:
+        result = solved[table.function_class[tt.bits]]
         moved = replace(
             result, tt=tt, witness=retarget(result.witness, result.tt.bits, tt), elapsed=elapsed
         )
         records.append(record_from_result(moved, backend="oracle"))
     append_record(store, *records)
-    max_size = max(result.size for result in solved.values())
+    max_size = max([*done.values(), *(result.size for result in solved.values())])
     _emit(
         {
             "schema": "aigopt.oracle/1",
             "n": args.n,
-            "functions": functions,
+            "functions": len(functions),
             "max_size": max_size,
             "elapsed_ms": int(elapsed * 1000),
             "store": str(store),
         }
     )
     _human(
-        f"oracle: {functions} exact records (max size {max_size}), "
+        f"oracle: {len(functions)} exact records (max size {max_size}), "
         f"{len(records)} new -> {store}"
     )
     return EXIT_OK
@@ -455,12 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flag(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("campaign", help="synth every NPN class of n, resuming from the store")
+    p = sub.add_parser("campaign", help="sweep every NPN class of n, resuming from the store")
     p.add_argument("-n", type=int, required=True, help="variable count")
-    p.add_argument("--budget-secs", type=float, default=None,
-                   help="wall-clock budget per (function, gate count) query")
     p.add_argument("--max-gates", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     _add_store_flag(p)
     p.set_defaults(func=cmd_campaign)
 

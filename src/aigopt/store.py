@@ -30,7 +30,8 @@ class ResultRecord:
     status: str  # "exact" | "upper-bound"
     exhausted_below: int
     witness_aag: str
-    # Provenance: "enum" (opt_size on this table) or "oracle" (the sweep's
+    # Provenance: "enum" (opt_size on this table), "sweep" (the sweep's
+    # witness for this table, an NPN class canon) or "oracle" (the sweep's
     # witness for its NPN class, moved to this table by npn.retarget, which
     # trusts the pattern it is given; verify() is where the witness is
     # simulated).

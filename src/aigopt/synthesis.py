@@ -7,8 +7,8 @@ Two routes live here:
   two leaves" below): ``exists_circuit`` / ``opt_size``, an
   iterative-deepening search for any function in the target's NPN orbit,
   and ``sweep``, which walks each gate count once for every class of n and
-  serves the ``oracle`` command.  ``SynthesisConfig`` sets only the
-  per-class search's gate cap and per-query time budget.
+  serves the ``oracle`` and ``campaign`` commands.  ``SynthesisConfig``
+  sets only the per-class search's gate cap and per-query time budget.
 * ``brute_oracle`` — an independent breadth-first sweep over reachable
   function sets for n <= 3, covering every function at once.  It returns
   sizes only, shares no search code with the orbit search and is the

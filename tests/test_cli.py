@@ -1,9 +1,10 @@
 import argparse
 import json
-import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,9 @@ from aigopt.cli import (
     build_parser,
     main,
 )
+from aigopt.npn import enumerate_classes
 from aigopt.store import HEADER, ResultRecord, append_record, load_store, record_from_result
-from aigopt.synthesis import Status, opt_size
+from aigopt.synthesis import SearchInconclusiveError, Status, SynthesisConfig, opt_size
 from aigopt.truthtable import parse_hex
 
 from helpers import FOUR_GATE_XOR_AAG
@@ -252,12 +254,32 @@ def test_oracle_appends_only_tables_not_yet_exact(capsys, tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_oracle_on_a_full_store_walks_nothing(capsys, tmp_path, monkeypatch):
+    """A store that already holds every function as exact needs no sweep:
+    a second run reads ``max_size`` from the store."""
+    store = tmp_path / "s.jsonl"
+
+    def oracle_doc():
+        code, out, _ = run(capsys, "oracle", "-n", "3", "--store", str(store))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        del doc["elapsed_ms"]
+        return doc
+
+    def walk_reached(*args):
+        raise AssertionError("the sweep walked a level")
+
+    first = oracle_doc()
+    monkeypatch.setattr("aigopt.synthesis._walk", walk_reached)
+    assert oracle_doc() == first
+
+
 @pytest.mark.parametrize(
     "argv, backend",
     [
         (["oracle", "-n", "2"], "oracle"),
         (["synth", "0x6", "-n", "2"], "enum"),
-        (["campaign", "-n", "2"], "enum"),
+        (["campaign", "-n", "2"], "sweep"),
     ],
     ids=["oracle", "synth", "campaign"],
 )
@@ -441,27 +463,19 @@ def test_campaign_counts_inconclusive_classes_and_runs_them_again(capsys, tmp_pa
     assert len(load_store(store).best) == 7
 
 
-def test_campaign_counts_upper_bounds_and_runs_them_again(capsys, tmp_path, monkeypatch):
-    import aigopt.cli as cli
-
-    real_opt_size = cli.opt_size
-
-    def upper_bound_for_0x6(tt, cfg):
-        result = real_opt_size(tt, cfg)
-        if tt.hex() != "0x6":
-            return result
-        return replace(result, status=Status.UPPER_BOUND, exhausted_below=-1)
-
-    monkeypatch.setattr(cli, "opt_size", upper_bound_for_0x6)
+def test_campaign_counts_upper_bounds_and_runs_them_again(capsys, tmp_path):
+    """A class the store holds only as an upper bound is run again and
+    stored as exact; the sweep writes no upper bound of its own."""
     store = tmp_path / "upper.jsonl"
-    for skipped, new_exact in ((0, 3), (3, 0)):
-        code, out, err = run(capsys, "campaign", "-n", "2", "--store", str(store))
-        assert code == EXIT_UPPER_BOUND
-        doc = json.loads(out)
-        assert (doc["skipped_exact"], doc["new_exact"]) == (skipped, new_exact)
-        assert (doc["new_upper_bound"], doc["inconclusive"]) == (1, 0)
-        assert "0x6: size 3 [upper-bound]" in err
-    assert load_store(store).best["0x6"].status == Status.UPPER_BOUND.value
+    record = record_from_result(opt_size(parse_hex("0x6", 2)))
+    append_record(store, replace(record, status=Status.UPPER_BOUND.value, exhausted_below=-1))
+    code, out, err = run(capsys, "campaign", "-n", "2", "--store", str(store))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["skipped_exact"], doc["new_exact"]) == (0, 4)
+    assert (doc["new_upper_bound"], doc["inconclusive"]) == (0, 0)
+    assert "0x6: size 3 [exact]" in err
+    assert load_store(store).best["0x6"].status == Status.EXACT.value
 
 
 def test_store_rejections_named_by_campaign_and_graph(capsys, tmp_path):
@@ -485,149 +499,62 @@ def test_store_rejections_named_by_campaign_and_graph(capsys, tmp_path):
 
 
 def test_campaign_keeps_records_before_a_crash(capsys, tmp_path, monkeypatch):
+    """Each level's records are appended when the level ends, so a crash
+    during level 4 keeps the classes that levels 0..3 settled."""
     import aigopt.cli as cli
 
-    real_opt_size = cli.opt_size
-    calls = []
+    real_sweep = cli.sweep
 
-    def crash_on_third(tt, cfg):
-        calls.append(tt.hex())
-        if len(calls) == 3:
-            raise RuntimeError("simulated crash")
-        return real_opt_size(tt, cfg)
+    def crash_in_level_4(table):
+        for level in real_sweep(table):
+            if level.k == 4:
+                raise RuntimeError("simulated crash")
+            yield level
 
-    monkeypatch.setattr(cli, "opt_size", crash_on_third)
+    monkeypatch.setattr(cli, "sweep", crash_in_level_4)
     store = tmp_path / "crash.jsonl"
     with pytest.raises(RuntimeError, match="simulated crash"):
         main(["campaign", "-n", "3", "--store", str(store)])
-    assert sorted(load_store(store).best) == sorted(calls[:2])
-
-
-def test_parallel_campaign_keeps_finished_classes_after_a_worker_error(tmp_path, monkeypatch):
-    """A worker error cancels the classes not yet started, yet every class
-    that finishes is still appended before the error is raised."""
-    import time
-
-    import aigopt.cli as cli
-
-    real_opt_size = cli.opt_size
-    markers = tmp_path / "finished"
-    markers.mkdir()
-
-    def crash_on_0x00(tt, cfg):
-        if tt.hex() == "0x00":
-            raise RuntimeError("simulated worker crash")
-        time.sleep(0.3)  # keep the first error ahead of the queued classes
-        result = real_opt_size(tt, cfg)
-        (markers / tt.hex()).touch()
-        return result
-
-    monkeypatch.setattr(cli, "opt_size", crash_on_0x00)  # inherited by forked workers
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    store = tmp_path / "crash.jsonl"
-    with pytest.raises(RuntimeError, match="simulated worker crash"):
-        main(["campaign", "-n", "3", "--jobs", "2", "--store", str(store)])
-    finished = sorted(p.name for p in markers.iterdir())
-    assert finished
-    assert sorted(load_store(store).best) == finished
-    assert len(finished) < 13  # some of the 13 other classes never started
-
-
-def test_parent_side_error_cancels_the_queued_classes(capsys, tmp_path, monkeypatch):
-    """A failed append shuts the pool down at once: the classes still queued
-    never start, and the error exits 1 instead of waiting for all 14."""
-    import time
-
-    import aigopt.cli as cli
-
-    real_opt_size = cli.opt_size
-    markers = tmp_path / "started"
-    markers.mkdir()
-
-    def slow(tt, cfg):
-        (markers / tt.hex()).touch()
-        time.sleep(0.2)
-        return real_opt_size(tt, cfg)
-
-    appended = []
-
-    def fail_second_append(path, record):
-        appended.append(record)
-        if len(appended) == 2:
-            raise OSError("simulated disk full")
-
-    monkeypatch.setattr(cli, "opt_size", slow)  # inherited by forked workers
-    monkeypatch.setattr(cli, "append_record", fail_second_append)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    store = tmp_path / "s.jsonl"
-    code, out, err = run(capsys, "campaign", "-n", "3", "--jobs", "2", "--store", str(store))
-    assert code == EXIT_USAGE
-    assert out == "" and "error: simulated disk full" in err
-    assert len(list(markers.iterdir())) < 14
-
-
-def test_campaign_parallel_jobs(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    store = tmp_path / "campaign3.jsonl"
-    code, out, _ = run(
-        capsys, "campaign", "-n", "3", "--jobs", "2", "--store", str(store),
-    )
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["classes"] == 14
-    assert doc["new_exact"] == 14
     best = load_store(store).best
-    assert len(best) == 14
-    assert best["0x69"].size == 6
+    assert len(best) == 7
+    assert {rec.size for rec in best.values()} == {0, 1, 2, 3}
 
 
-def test_campaign_appends_records_as_classes_finish(capsys, tmp_path, monkeypatch):
-    """A slow class must not hold back the records of classes that finish
-    after it was submitted but before it ends."""
-    import time
-
-    import aigopt.cli as cli
-
-    real_opt_size = cli.opt_size
-
-    def slow_on_0x1(tt, cfg):
-        if tt.hex() == "0x1":
-            time.sleep(1.5)
-        return real_opt_size(tt, cfg)
-
-    monkeypatch.setattr(cli, "opt_size", slow_on_0x1)  # inherited by forked workers
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    store = tmp_path / "order.jsonl"
-    code, _, _ = run(capsys, "campaign", "-n", "2", "--jobs", "2", "--store", str(store))
-    assert code == EXIT_OK
-    lines = store.read_text().splitlines()[1:]
-    assert len(lines) == 4
-    assert json.loads(lines[-1])["tt_hex"] == "0x1"
-
-
-def test_campaign_rejects_jobs_below_one(capsys, tmp_path):
-    store = tmp_path / "jobs.jsonl"
-    code, out, err = run(capsys, "campaign", "-n", "2", "--jobs", "0", "--store", str(store))
-    assert code == EXIT_USAGE
-    assert out == "" and "--jobs" in err
-    assert not store.exists()
-
-
-@pytest.mark.parametrize("cpus", [2, None], ids=["2-cpus", "unknown-cpus"])
-def test_campaign_rejects_jobs_above_cpu_count(capsys, tmp_path, monkeypatch, cpus):
-    """A forked pool starts every worker at its first submit, so --jobs is
-    capped at the CPU count (1 when unknown) before any pool exists."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("ProcessPoolExecutor constructed")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    store = tmp_path / "jobs.jsonl"
-    jobs = str((cpus or 1) + 1)
-    code, out, err = run(capsys, "campaign", "-n", "2", "--jobs", jobs, "--store", str(store))
-    assert code == EXIT_USAGE
-    assert out == "" and "--jobs" in err
-    assert not store.exists()
+@pytest.mark.parametrize(
+    "argv",
+    [["-n", "1"], ["-n", "2"], ["-n", "3"], ["-n", "3", "--max-gates", "3"]],
+    ids=["n1", "n2", "n3", "n3-cap3"],
+)
+def test_campaign_records_equal_opt_size(capsys, tmp_path, argv):
+    """Every class the sweep settles gets the record that per-class
+    ``opt_size`` gives it, a class is left out exactly when ``opt_size``
+    finds no witness within the cap, and each level walked prints one
+    progress line."""
+    store = tmp_path / "campaign.jsonl"
+    code, out, err = run(capsys, "campaign", *argv, "--store", str(store))
+    cap = int(argv[-1]) if "--max-gates" in argv else 16
+    expected = {}
+    for cls in enumerate_classes(int(argv[1])):
+        try:
+            result = opt_size(cls.canon, SynthesisConfig(max_gates=cap))
+        except SearchInconclusiveError:
+            continue
+        expected[cls.canon.hex()] = record_from_result(result)
+    doc = json.loads(out)
+    open_classes = doc["classes"] - len(expected)
+    assert code == (EXIT_UPPER_BOUND if open_classes else EXIT_OK)
+    assert (doc["new_exact"], doc["inconclusive"]) == (len(expected), open_classes)
+    search_fields = attrgetter("tt_hex", "size", "status", "exhausted_below", "witness_aag")
+    best = load_store(store).best
+    assert {tt_hex: search_fields(rec) for tt_hex, rec in best.items()} == {
+        tt_hex: search_fields(rec) for tt_hex, rec in expected.items()
+    }
+    assert {rec.backend for rec in best.values()} == {"sweep"}
+    last = cap if open_classes else max(rec.size for rec in expected.values())
+    progress = [line for line in err.splitlines() if line.startswith("k=")]
+    assert [line.split(":")[0] for line in progress] == [f"k={k}" for k in range(last + 1)]
+    for line in progress:
+        assert re.fullmatch(r"k=\d+: \d+ nodes, \d+ settled, \d+\.\d\ds", line), line
 
 
 def test_campaign_refuses_store_of_another_n(capsys, tmp_path):
@@ -746,9 +673,10 @@ def test_store_directory_checked_before_any_search(capsys, tmp_path, monkeypatch
     the search runs, naming the directory."""
 
     def search_reached(*args, **kwargs):
-        raise AssertionError("opt_size ran before the store directory was checked")
+        raise AssertionError("a search ran before the store directory was checked")
 
     monkeypatch.setattr("aigopt.cli.opt_size", search_reached)
+    monkeypatch.setattr("aigopt.cli.sweep", search_reached)
     (tmp_path / "file").write_text("")
     code, out, err = run(capsys, *argv, "--store", str(tmp_path / parent / "s.jsonl"))
     assert code == EXIT_USAGE
@@ -774,10 +702,7 @@ def test_cli_option_surface(capsys):
             "tt": None, "-n": None, "--max-gates": None, "--budget-secs": None,
             "--store": None,
         },
-        "campaign": {
-            "-n": None, "--max-gates": None, "--budget-secs": None,
-            "--jobs": None, "--store": None,
-        },
+        "campaign": {"-n": None, "--max-gates": None, "--store": None},
         "cnf-export": {"tt": None, "-n": None, "--max-gates": None, "--cnf-dir": None},
         "classify": {"-n": None, "--format": ("json", "csv")},
         "graph": {"-n": None, "--store": None, "--format": ("json", "csv")},
