@@ -31,7 +31,7 @@ from pathlib import Path
 from .aig import from_aiger, to_aiger
 from .cnf import encode_cnf
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
-from .npn import NpnClassTable, enumerate_classes, retarget
+from .npn import enumerate_classes, retarget
 from .repair import repair_multi
 from .store import LoadedStore, append_record, load_store, record_from_result
 from .synthesis import MAX_GATES, SearchInconclusiveError, Status, SynthesisConfig, opt_size, sweep
@@ -101,20 +101,6 @@ def _exact_tables(path: Path, n: int) -> dict[str, int]:
         for rec in _load_store(path, n).best.values()
         if rec.status == Status.EXACT.value
     }
-
-
-def _levels(table: NpnClassTable, needed: set[int], cap: int):
-    """The levels of ``sweep(table)`` up to ``cap`` gates, ending after the
-    level that settles the last class index in ``needed``; none at all when
-    ``needed`` is empty."""
-    needed = set(needed)
-    if not needed:
-        return
-    for level in itertools.islice(sweep(table), cap + 1):
-        yield level
-        needed.difference_update(level.settled)
-        if not needed:
-            return
 
 
 def cmd_synth(args) -> int:
@@ -193,10 +179,9 @@ def cmd_campaign(args) -> int:
     _human(f"campaign: {len(table)} classes, {skipped} already exact, {len(todo)} to run")
     started = time.monotonic()
     # A level's records are appended when the level ends, so a crash loses
-    # only the level under way.  That costs no work: a resumed campaign walks
-    # every level from k = 0 again, and stops after the same level, because
-    # the last class it still needs is settled there either way.
-    for level in _levels(table, todo, cap):
+    # only the level under way.  A resumed campaign walks every level from
+    # k = 0 again, and stops at the hit that settles the last class it needs.
+    for level in itertools.islice(sweep(table, todo), cap + 1):
         elapsed = time.monotonic() - started
         records = [
             record_from_result(replace(result, elapsed=elapsed), backend="sweep")
@@ -381,7 +366,7 @@ def cmd_oracle(args) -> int:
     missing = [tt for tt in functions if tt.hex() not in done]
     needed = {table.function_class[tt.bits] for tt in missing}
     solved = {}
-    for level in _levels(table, needed, MAX_GATES):
+    for level in sweep(table, needed):
         solved.update(level.settled)
     elapsed = time.monotonic() - started
     records = []

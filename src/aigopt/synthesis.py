@@ -104,18 +104,21 @@ computes another function:
   (complemented) edge to that node.
 
 The last gate is decided without walking its list, inside the loop of the
-second-to-last gate, with no call per decision.  It must compute a hit, and
-no earlier node may already compute one up to complement (that node would
-be a smaller witness).  It must also read every pending node.
+second-to-last gate, with the one ``_gate_choices`` lookup every gate makes,
+from the second-to-last gate's signature and stabilizer.  It must compute a
+hit, and no earlier node may already compute one up to complement (that node
+would be a smaller witness).  It must also read every pending node.
 Beyond k = 1 the gate just placed is always pending, and the slot count
 leaves at most one other pending node, a gate or an input, so only the pairs
 that read the newest gate (and that other node, if any) can close the
-circuit; ``closers`` lists them.  A decision reads the last gate's list
-and closers with the one ``_gate_choices`` lookup every gate uses, from the
-second-to-last gate's signature and stabilizer.  ``nodes_visited`` still
-counts what a walk of the whole list would: every pair up to the
-first that closes, which is the witness such a walk returns, or the whole
-list when none does.  The node counts therefore stay regression gates.
+circuit; ``closers`` lists them as ``(pos, neg, pairs)``, the other fanins'
+literal codes of those that read the newest gate plain and complemented, and
+the closers in order.  With the newest gate's value v, a decision tests each
+``pos`` literal AND v, then each ``neg`` literal AND NOT v, against the accept
+set; only a hit scans the ordered closers for the first, the witness a walk
+of the list returns.  ``nodes_visited`` still counts what that walk would:
+every pair up to the first that closes, or the whole list when none does.
+The node counts therefore stay regression gates.
 
 One walk, two leaves.  ``_walk`` takes an accept set closed under NPN, the
 initial pending inputs and an ``on_hit(circuit, w)`` callback, which runs
@@ -146,7 +149,7 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -286,14 +289,12 @@ def _input_group(n: int):
     return maps
 
 
-def _orbit_cut(n: int, pairs, stab: int) -> list[tuple]:
-    """The pairs whose signature is the smallest in their orbit under
-    ``stab``, in input order, each with the subgroup of ``stab`` that fixes it
-    appended."""
+def _orbit_cut(n: int, sigs, stab: int) -> list[tuple[int, int]]:
+    """The signatures that are the smallest in their orbit under ``stab``, in
+    input order, each paired with the subgroup of ``stab`` that fixes it."""
     members = [(i, t) for i, t in enumerate(_input_group(n)) if (stab >> i) & 1]
     kept = []
-    for c in pairs:
-        sig = c[0]
+    for sig in sigs:
         lo, hi = sig >> 10, sig & 1023
         fixed = 0
         for i, t in members:
@@ -304,7 +305,7 @@ def _orbit_cut(n: int, pairs, stab: int) -> list[tuple]:
             if image == sig:
                 fixed |= 1 << i
         else:
-            kept.append((*c, fixed))
+            kept.append((sig, fixed))
     return kept
 
 
@@ -315,21 +316,28 @@ def _live_pairs(n: int, m: int, stab: int):
     live pairs that read m.  For each input or gate node a < m,
     ``closers[1 << a]`` holds the pairs (a, m); ``closers[0]`` holds every
     pair that reads m.  All are signature-sorted, and ``closers`` keys on the
-    unread nodes other than m.
+    unread nodes other than m, each value ``(pos, neg, pairs)``: the literal
+    codes paired with m plain, then with m complemented, then the pairs.
 
-    Each pair is ``(sig, j0, xor0, j1, xor1, next_stab)``: the last field is
-    the stabilizer the next gate is placed under.  Only the pairs minimal in
-    their ``stab``-orbit are kept, and none of ``_dead_sigs``.
+    Each pair is ``(sig, l0, l1, keep, next_stab)``: ``sig``'s two literal
+    codes ``node << 1 | complement``, a mask that clears both nodes from a
+    pending bitmask, and the stabilizer the next gate is placed under.  Only
+    the pairs minimal in their ``stab``-orbit are kept, and none of
+    ``_dead_sigs``.
     """
     dead = _dead_sigs(n)
-    mask = (1 << (1 << n)) - 1
-    live = _orbit_cut(n, [c for c in _candidate_pairs(m, mask) if c[0] not in dead], stab)
-    older = [c for c in live if c[3] < m]
-    fresh = [c for c in live if c[3] == m]
-    closers = {0: fresh}
-    for a in range(1, m):
-        closers[1 << a] = [c for c in fresh if c[1] == a]
-    return older, closers
+    sigs = [c[0] for c in _candidate_pairs(m, 0) if c[0] not in dead]
+    live = [
+        (sig, sig >> 10, sig & 1023, ~(1 << (sig >> 11) | 1 << (sig >> 1 & 511)), fixed)
+        for sig, fixed in _orbit_cut(n, sigs, stab)
+    ]
+    older = [c for c in live if c[2] >> 1 < m]
+    fresh = [c for c in live if c[2] >> 1 == m]
+    closers = {0: fresh} | {1 << a: [c for c in fresh if c[1] >> 1 == a] for a in range(1, m)}
+    return older, {
+        key: ([c[1] for c in close if not c[2] & 1], [c[1] for c in close if c[2] & 1], close)
+        for key, close in closers.items()
+    }
 
 
 @lru_cache(maxsize=None)
@@ -344,10 +352,10 @@ def _gate_choices(n: int, m: int, stab: int, prev_sig: int):
         if n < 2:
             return [], {}
         full = (1 << len(_input_group(n))) - 1
-        return [(_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)], {}
+        return [(_pack_sig(1, 0, 2, 0), 2, 4, ~0b110, full)], {}
     older, closers = _live_pairs(n, m, stab)
     cut = bisect_left(older, prev_sig, key=itemgetter(0))
-    return sorted(closers[0] + older[cut:]), closers
+    return sorted(closers[0][2] + older[cut:]), closers
 
 
 def _dead_sigs(n: int) -> set[int]:
@@ -388,13 +396,15 @@ def _walk(
     ``pending`` is the bitmask of inputs some gate must read.  Returns the
     nodes visited and whether ``deadline`` stopped the walk."""
     mask = (1 << (1 << n)) - 1
-    values = [0] * (n + 1 + k)
-    seen = {0}
+    # The value of each literal code, node << 1 | complement; ``seen`` holds
+    # every node's value in both polarities.
+    lits = [0, mask] * (n + 1 + k)
     for i in range(1, n + 1):
-        v = values[i] = var_table(n, i - 1).bits
-        seen.add(min(v, v ^ mask))
+        v = lits[i << 1] = var_table(n, i - 1).bits
+        lits[i << 1 | 1] = v ^ mask
+    seen = set(lits[: 2 * n + 2])
 
-    chain: list[tuple[int, int, int, int, int, int]] = []
+    chain: list[tuple[int, int, int, int, int]] = []
     nodes_visited = 0
 
     def search(node: int, prev_sig: int, pending: int, stab: int) -> bool:
@@ -410,59 +420,75 @@ def _walk(
         if node == n + k - 1:
             # The last gate is decided here, in closed form: it is counted as
             # a walk of its whole list that stops at the first pair closing
-            # the circuit.  No node may already compute a hit.
+            # the circuit.  No node may already compute a hit.  No deadline
+            # is read in this loop, so it counts in a local.
             hit_before = not seen.isdisjoint(accept)
+            closed = 0  # the last gate's pairs counted so far
             for cand in pairs:
-                sig, j0, x0, j1, x1, nxt = cand
-                nodes_visited += 1
-                v = (values[j0] ^ x0) & (values[j1] ^ x1)
-                vn = v if v <= v ^ mask else v ^ mask
-                if vn in seen:
+                sig, l0, l1, keep, nxt = cand
+                v = lits[l0] & lits[l1]
+                if v in seen:
                     continue
                 # The gate just placed is unread; the slot bound leaves at
                 # most one other unread node, and the last gate reads both.
-                other = pending & ~((1 << j0) | (1 << j1))
+                other = pending & keep
                 if other & (other - 1):
                     continue
                 last_pairs, closers = _gate_choices(n, node, nxt, sig)
+                closed += len(last_pairs)
                 if hit_before or v in accept:
-                    nodes_visited += len(last_pairs)
                     continue
-                values[node] = v
-                for close in closers[other]:
-                    _, a0, y0, a1, y1, _ = close
-                    w = (values[a0] ^ y0) & (values[a1] ^ y1)
+                pos, neg, ordered = closers[other]
+                for a in pos:
+                    if lits[a] & v in accept:
+                        break
+                else:
+                    nv = v ^ mask
+                    for a in neg:
+                        if lits[a] & nv in accept:
+                            break
+                    else:
+                        continue
+                lits[node << 1] = v
+                lits[node << 1 | 1] = v ^ mask
+                for close in ordered:
+                    w = lits[close[1]] & lits[close[2]]
                     if w in accept and on_hit(
                         _chain_to_circuit(n, chain + [cand, close], complement=False), w
                     ):
-                        nodes_visited += last_pairs.index(close) + 1
+                        # Count as a walk would, through cand, then close.
+                        nodes_visited += pairs.index(cand) + 1 + closed
+                        nodes_visited += last_pairs.index(close) + 1 - len(last_pairs)
                         return True
-                nodes_visited += len(last_pairs)
+            nodes_visited += len(pairs) + closed
             return False
 
         # Each gate but the output is read by a later gate, and so is every
         # pending node: with r gates left, at most r + 1 may be pending.
         limit = n + k - node + 1
+        pending |= 1 << node
         for cand in pairs:
-            sig, j0, x0, j1, x1, nxt = cand
             nodes_visited += 1
-            v = (values[j0] ^ x0) & (values[j1] ^ x1)
-            vn = v if v <= v ^ mask else v ^ mask
-            if vn in seen:
+            sig, l0, l1, keep, nxt = cand
+            v = lits[l0] & lits[l1]
+            if v in seen:
                 continue
-
-            new_pending = (pending | (1 << node)) & ~((1 << j0) | (1 << j1))
+            new_pending = pending & keep
             if new_pending.bit_count() > limit:
                 continue
 
-            values[node] = v
-            seen.add(vn)
+            nv = v ^ mask
+            lits[node << 1] = v
+            lits[node << 1 | 1] = nv
+            seen.add(v)
+            seen.add(nv)
             chain.append(cand)
 
             stop = search(node + 1, sig, new_pending, nxt)
 
             chain.pop()
-            seen.discard(vn)
+            seen.discard(v)
+            seen.discard(nv)
 
             if stop:
                 return True
@@ -474,13 +500,13 @@ def _walk(
             # x0 whenever it holds any literal, so nodes 0 and 1 are every
             # zero-gate circuit there is to test.
             for j in (0, 1):
-                if values[j] in accept and on_hit(AigCircuit(n, (), Literal(j)), values[j]):
+                if lits[j << 1] in accept and on_hit(AigCircuit(n, (), Literal(j)), lits[j << 1]):
                     break
         elif k == 1:
             # The one 1-gate circuit in the canonical space is x0 AND x1.
             for cand in _gate_choices(n, n, _TRIVIAL, -1)[0]:
                 nodes_visited += 1
-                v = values[1] & values[2]
+                v = lits[2] & lits[4]
                 if v in accept and seen.isdisjoint(accept):
                     on_hit(_chain_to_circuit(n, [cand], complement=False), v)
         else:
@@ -535,8 +561,11 @@ def exists_circuit(
 
 
 def _chain_to_circuit(n: int, chain, complement: bool) -> AigCircuit:
+    # A gate is read from its signature alone, so ``_candidate_pairs``'
+    # tuples serve as well as the walk's.
     gates = tuple(
-        AndGate(Literal(c[1], bool(c[2])), Literal(c[3], bool(c[4]))) for c in chain
+        AndGate(*(Literal(lit >> 1, bool(lit & 1)) for lit in (c[0] >> 10, c[0] & 1023)))
+        for c in chain
     )
     return AigCircuit(n, gates, Literal(n + len(gates), complement))
 
@@ -579,22 +608,27 @@ class SweepLevel:
     settled: dict[int, OptResult]
 
 
-def sweep(table: NpnClassTable) -> Iterator[SweepLevel]:
-    """Settle every class of ``table`` by walking k = 0, 1, ... once each.
+def sweep(table: NpnClassTable, needed: Iterable[int] | None = None) -> Iterator[SweepLevel]:
+    """Settle the classes of ``table`` by walking k = 0, 1, ... once each.
 
     A level accepts every function whose class is still open, keeps the
     first witness of each class it hits, moved onto the class canon by
     ``npn.retarget``, and closes that class's orbit.  Every class a level
     settles is Exact with ``exhausted_below = k - 1``: the levels below were
     walked in full.  Its ``elapsed`` is 0.0, since one walk settles many
-    classes; a caller times the sweep.  The sweep ends after the level that
-    settles the last class; a caller may stop it after any level.
+    classes; a caller times the sweep.  ``needed``, the class indices the
+    caller wants, is every class by default: a level stops at the hit that
+    settles the last of them, and the sweep ends there, or at once when
+    ``needed`` is empty.  A caller may stop it after any level.
     """
     n = table.n
     class_of = table.function_class
+    needed = set(range(len(table)) if needed is None else needed)
     open_functions = set(range(len(class_of)))
     narrow = {c.class_index for c in table if _support(c.canon) < n}
     for k in range(MAX_GATES + 1):
+        if not needed:
+            return
         settled: dict[int, OptResult] = {}
 
         def on_hit(circuit: AigCircuit, w: int) -> bool:
@@ -602,16 +636,15 @@ def sweep(table: NpnClassTable) -> Iterator[SweepLevel]:
             canon = table[index].canon
             open_functions.difference_update(orbit(canon).members)
             narrow.discard(index)
+            needed.discard(index)
             witness = retarget(circuit, w, canon)
             settled[index] = OptResult(canon, k, Status.EXACT, witness, k - 1, 0.0)
-            return not open_functions
+            return not needed
 
         # A class of fewer than n inputs need not read them all.
         pending = 0 if narrow else (1 << (n + 1)) - 2
         nodes_visited, _ = _walk(n, k, open_functions, pending, on_hit, None)
         yield SweepLevel(k, nodes_visited, settled)
-        if not open_functions:
-            return
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,26 @@ def test_campaign_counts_upper_bounds_and_runs_them_again(capsys, tmp_path):
     assert load_store(store).best["0x6"].status == Status.EXACT.value
 
 
+def test_resumed_campaign_stops_at_the_last_class_it_needs(capsys, tmp_path):
+    """A campaign resumed with one size-6 record dropped walks level 6 only to
+    the hit that settles that class, short of the hit that settles the
+    level's last class (518,320 nodes), and writes the same record again."""
+    store = tmp_path / "resume.jsonl"
+    run(capsys, "campaign", "-n", "3", "--store", str(store))
+    lines = store.read_text().splitlines(keepends=True)
+    dropped = next(i for i, ln in enumerate(lines[1:], 1) if json.loads(ln)["size"] == 6)
+    first = json.loads(lines.pop(dropped))
+    store.write_text("".join(lines))
+
+    code, out, err = run(capsys, "campaign", "-n", "3", "--store", str(store))
+    assert code == EXIT_OK
+    assert json.loads(out)["new_exact"] == 1
+    again = load_store(store).best[first["tt_hex"]]
+    assert (again.size, again.witness_aag) == (6, first["witness_aag"])
+    nodes = int(re.search(r"^k=6: (\d+) nodes, 1 settled", err, re.M).group(1))
+    assert nodes < 518_320
+
+
 def test_store_rejections_named_by_campaign_and_graph(capsys, tmp_path):
     store = tmp_path / "campaign2.jsonl"
     run(capsys, "campaign", "-n", "2", "--store", str(store))
@@ -505,8 +525,8 @@ def test_campaign_keeps_records_before_a_crash(capsys, tmp_path, monkeypatch):
 
     real_sweep = cli.sweep
 
-    def crash_in_level_4(table):
-        for level in real_sweep(table):
+    def crash_in_level_4(table, needed):
+        for level in real_sweep(table, needed):
             if level.k == 4:
                 raise RuntimeError("simulated crash")
             yield level

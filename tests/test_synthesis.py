@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -101,6 +102,23 @@ def test_budget_stop_is_not_infeasibility():
     assert outcome.budget_exhausted
     assert outcome.nodes_visited < 78_983_965
     assert outcome.elapsed < 1.0
+
+
+def test_budget_stop_counts_are_pinned(monkeypatch):
+    """A budget stop reports every node visited before the deadline read that
+    stops it.  Under a clock that advances 1.0 per read, the budget counts
+    reads, so the counts are fixed: the deadline is read each time the walk
+    steps to a gate, up to the second-to-last, whose loop reads none and is
+    counted whole before the next read."""
+    monkeypatch.setattr(
+        "aigopt.synthesis.time", types.SimpleNamespace(monotonic=itertools.count(1.0).__next__)
+    )
+    for budget, nodes in ((50, 13_389), (500, 246_977), (2000, 1_344_048)):
+        outcome = exists_circuit(
+            parse_hex("0x0169", 4), 6, SynthesisConfig(time_budget=budget)
+        )
+        assert outcome.budget_exhausted, budget
+        assert outcome.nodes_visited == nodes, budget
 
 
 def test_a_query_leaves_no_garbage_cycle():
@@ -333,9 +351,11 @@ def test_opt_size_size_five_orbit_members():
 def test_symmetry_cut_lists_n4():
     """Gate 1 is x0 AND x1 alone, placed under nothing and leaving H, the 16
     input transforms that fix it; gate 2 keeps the 8 live orbit-minimal pairs
-    of the 40 over x0..x3 and gate 1."""
+    of the 40 over x0..x3 and gate 1.  A pair is (sig, l0, l1, keep,
+    next_stab), with literal codes l = node << 1 | complement and keep
+    clearing both fanin nodes from a pending bitmask."""
     full = (1 << 16) - 1
-    gate1 = (_pack_sig(1, 0, 2, 0), 1, 0, 2, 0, full)
+    gate1 = (_pack_sig(1, 0, 2, 0), 2, 4, ~0b110, full)
     assert _gate_choices(4, 4, 1, -1) == ([gate1], {})
     second = _gate_choices(4, 5, full, gate1[0])[0]
     assert len(_candidate_pairs(5, 0xFFFF)) == 40
@@ -343,7 +363,7 @@ def test_symmetry_cut_lists_n4():
     # x0 AND x1 again, x0 AND g1, NOT x0 AND g1 and NOT x0 AND NOT g1 recompute
     # gate 1, g1, 0 and NOT x0: they never reach the list.
     dead = {(1, 0, 2, 0), (1, 0, 5, 0), (1, 1, 5, 0), (1, 1, 5, 1)}
-    assert not dead & {(j0, int(x0 != 0), j1, int(x1 != 0)) for _, j0, x0, j1, x1, _ in second}
+    assert not dead & {(l0 >> 1, l0 & 1, l1 >> 1, l1 & 1) for _, l0, l1, _, _ in second}
 
 
 def literal_image(t, j: int, c: int) -> tuple[int, int]:
@@ -366,7 +386,8 @@ def test_stabilizer_chain_n4():
     and the older pairs of signature >= the previous gate's, less those that
     recompute a constant, an input or gate 1, each kept when it is the
     smallest in its orbit under the stabilizer it is placed under, and
-    carrying the subgroup that fixes it."""
+    carrying the subgroup that fixes it.  The closers of each node split the
+    pairs that read the newest node by its polarity."""
     n, mask = 4, 0xFFFF
     gate1 = ((1, 0), (2, 0))
     group = [
@@ -406,23 +427,32 @@ def test_stabilizer_chain_n4():
                 images = {i: pair_image(t, (j0, c0, j1, c1)) for i, t in members}
                 if min(images.values()) == images[0]:
                     fixed = sum(1 << i for i, image in images.items() if image == images[0])
-                    expect.append((sig, j0, mask * c0, j1, mask * c1, fixed))
+                    keep = ~(1 << j0 | 1 << j1)
+                    expect.append((sig, j0 << 1 | c0, j1 << 1 | c1, keep, fixed))
         return sorted(expect)
 
     full = (1 << 16) - 1
     second = _gate_choices(n, n + 1, full, _pack_sig(1, 0, 2, 0))[0]
-    assert sorted(c[5].bit_count() for c in second) == [2, 2, 4, 4, 4, 8, 8, 16]
+    assert sorted(c[4].bit_count() for c in second) == [2, 2, 4, 4, 4, 8, 8, 16]
     frontier = [(n + 1, full, _pack_sig(1, 0, 2, 0))]
     checked = 0
     while frontier:
         m, stab, prev_sig = frontier.pop()
         pairs, closers = _gate_choices(n, m, stab, prev_sig)
         assert pairs == direct(m, stab, prev_sig)
-        fresh = [c for c in pairs if c[3] == m]
-        assert closers == {0: fresh} | {1 << a: [c for c in fresh if c[1] == a] for a in range(1, m)}
+        fresh = [c for c in pairs if c[2] >> 1 == m]
+
+        def split(close):
+            pos = [c[1] for c in close if c[2] == m << 1]
+            neg = [c[1] for c in close if c[2] == m << 1 | 1]
+            return pos, neg, close
+
+        assert closers == {0: split(fresh)} | {
+            1 << a: split([c for c in fresh if c[1] >> 1 == a]) for a in range(1, m)
+        }
         checked += 1
         if m < n + 3:
-            frontier += [(m + 1, c[5], c[0]) for c in pairs]
+            frontier += [(m + 1, c[4], c[0]) for c in pairs]
     assert checked == 212
 
 
@@ -496,6 +526,12 @@ def test_deterministic_witness():
             "aag 7 4 0 1 3\n2\n4\n6\n8\n14\n10 3 5\n12 7 9\n14 10 12\n",
         ),
         ("0x8888", 1): (1, "aag 5 4 0 1 1\n2\n4\n6\n8\n10\n10 2 4\n"),
+        # A hit 1.2M nodes into the walk.
+        ("0x1be4", 6): (
+            1_212_870,
+            "aag 10 4 0 1 6\n2\n4\n6\n8\n20\n"
+            "10 3 5\n12 2 7\n14 11 13\n16 8 14\n18 9 15\n20 17 19\n",
+        ),
         # Found as x0 AND x1 AND x2, then moved by the orbit transform.
         ("0x4040", 2): (8, "aag 6 4 0 1 2\n2\n4\n6\n8\n12\n10 3 4\n12 6 10\n"),
         # Gate 1, x0 AND x1, already computes the target: a 1-gate witness,
@@ -527,6 +563,21 @@ def test_sweep_levels_are_pinned(classes3, classes4):
         assert [level.k for level in levels] == list(range(len(nodes))), table.n
         assert [level.nodes_visited for level in levels] == nodes, table.n
         assert [len(level.settled) for level in levels] == settled, table.n
+
+
+def test_sweep_stops_at_the_last_needed_class(classes4):
+    """Given the classes its caller needs, the sweep stops at the hit that
+    settles the last of them: needing only the first class level 6 settles,
+    it walks that level only to its hit, and settles it the same way."""
+    full = list(itertools.islice(sweep(classes4), 7))
+    index, result = next(iter(full[6].settled.items()))
+    levels = list(sweep(classes4, {index}))
+    assert [level.nodes_visited for level in levels[:6]] == [
+        level.nodes_visited for level in full[:6]
+    ]
+    assert len(levels) == 7 and levels[6].nodes_visited < full[6].nodes_visited
+    assert levels[6].settled == {index: result}
+    assert list(sweep(classes4, set())) == []
 
 
 def test_sweep_sizes_equal_brute_oracle_n3(classes3, oracle3):
