@@ -5,11 +5,10 @@ summaries go to stderr, where ``graph`` also prints its |delta| histogram.
 ``classify`` and ``graph`` print CSV instead with ``--format csv``.  ``synth``
 searches one function and ``cnf-export`` streams DIMACS queries to disk.
 ``campaign`` and ``oracle`` share one ``sweep``, which walks each gate count
-once for all classes, and walk it only until the classes the store lacks are
-settled.  ``campaign`` stores every NPN class of n, appending each level's
-records as the level ends; ``oracle`` stores every function of n <= 3, with
-its class's witness moved to it by ``npn.retarget`` from the class canon that
-witness computes.  Commands that enumerate NPN classes (``classify``,
+once for all classes, and walk it only until the tables the store lacks are
+settled: every NPN class canon of n for ``campaign``, every function of
+n <= 3 for ``oracle``.  Both append each level's records as the level ends and
+print one line per level.  Commands that enumerate NPN classes (``classify``,
 ``graph``, ``verify``, ``campaign``) accept n <= 4 only.  Exit codes: 0
 success (or bound holds), 1 usage error or a file that cannot be read or
 written, 2 upper-bound/unknown result (also a ``verify`` that checked no
@@ -31,9 +30,9 @@ from pathlib import Path
 from .aig import from_aiger, to_aiger
 from .cnf import encode_cnf
 from .mutation import IncompleteStoreError, MutationGraph, build_graph, verify_bound
-from .npn import enumerate_classes, retarget
+from .npn import enumerate_classes
 from .repair import repair_multi
-from .store import LoadedStore, append_record, load_store, record_from_result
+from .store import LoadedStore, ResultRecord, append_record, load_store, record_from_result
 from .synthesis import MAX_GATES, SearchInconclusiveError, Status, SynthesisConfig, opt_size, sweep
 from .truthtable import TruthTable, parse_hex
 
@@ -167,51 +166,57 @@ def cmd_cnf_export(args) -> int:
     return EXIT_OK
 
 
+def _sweep_into_store(store: Path, table, targets, cap: int, backend: str) -> list[ResultRecord]:
+    """Settle ``targets`` by the sweep, walking at most ``cap`` gates, and
+    return the records written.  Each level's records are appended when the
+    level ends, so a crash loses only the level under way, and each level
+    prints one line.  A resumed run walks every level from k = 0 again, and
+    stops at the hit that settles the last target it needs."""
+    written = []
+    started = time.monotonic()
+    for level in itertools.islice(sweep(table, targets), cap + 1):
+        elapsed = time.monotonic() - started
+        records = [
+            record_from_result(replace(result, elapsed=elapsed), backend=backend)
+            for result in level.settled
+        ]
+        append_record(store, *records)
+        written += records
+        _human(
+            f"k={level.k}: {level.nodes_visited} nodes, {len(records)} settled, "
+            f"{elapsed:.2f}s"
+        )
+    return written
+
+
 def cmd_campaign(args) -> int:
     cap = SynthesisConfig(max_gates=args.max_gates).max_gates
     store = _required_store(args)
     table = enumerate_classes(args.n)
     done = _exact_tables(store, args.n)
-    todo = {c.class_index for c in table if c.canon.hex() not in done}
     # The store may also hold records of functions that are not class
     # representatives (``oracle`` writes every function), so count classes.
-    skipped = len(table) - len(todo)
-    _human(f"campaign: {len(table)} classes, {skipped} already exact, {len(todo)} to run")
-    started = time.monotonic()
-    # A level's records are appended when the level ends, so a crash loses
-    # only the level under way.  A resumed campaign walks every level from
-    # k = 0 again, and stops at the hit that settles the last class it needs.
-    for level in itertools.islice(sweep(table, todo), cap + 1):
-        elapsed = time.monotonic() - started
-        records = [
-            record_from_result(replace(result, elapsed=elapsed), backend="sweep")
-            for index, result in level.settled.items()
-            if index in todo
-        ]
-        todo.difference_update(level.settled)
-        append_record(store, *records)
-        for record in records:
-            _human(f"{record.tt_hex}: size {record.size} [{record.status}]")
-        _human(
-            f"k={level.k}: {level.nodes_visited} nodes, {len(records)} settled, "
-            f"{elapsed:.2f}s"
-        )
-    for index in sorted(todo):
-        _human(f"{table[index].canon.hex()}: inconclusive within {cap} gates")
+    targets = [c.canon for c in table if c.canon.hex() not in done]
+    skipped = len(table) - len(targets)
+    _human(f"campaign: {len(table)} classes, {skipped} already exact, {len(targets)} to run")
+    written = {rec.tt_hex for rec in _sweep_into_store(store, table, targets, cap, "sweep")}
+    unsettled = [tt.hex() for tt in targets if tt.hex() not in written]
+    for tt_hex in unsettled:
+        _human(f"{tt_hex}: inconclusive within {cap} gates")
     _emit(
         {
             "schema": "aigopt.campaign/1",
             "n": args.n,
             "classes": len(table),
             "skipped_exact": skipped,
-            "new_exact": len(table) - skipped - len(todo),
+            "new_exact": len(written),
             # The sweep writes only Exact records.
             "new_upper_bound": 0,
-            "inconclusive": len(todo),
+            "inconclusive": len(unsettled),
             "store": str(store),
         }
     )
-    return EXIT_UPPER_BOUND if todo else EXIT_OK
+    return EXIT_UPPER_BOUND if unsettled else EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -364,20 +369,9 @@ def cmd_oracle(args) -> int:
     table = enumerate_classes(args.n)
     functions = [TruthTable(args.n, bits) for bits in range(len(table.function_class))]
     missing = [tt for tt in functions if tt.hex() not in done]
-    needed = {table.function_class[tt.bits] for tt in missing}
-    solved = {}
-    for level in sweep(table, needed):
-        solved.update(level.settled)
+    records = _sweep_into_store(store, table, missing, MAX_GATES, "oracle")
     elapsed = time.monotonic() - started
-    records = []
-    for tt in missing:
-        result = solved[table.function_class[tt.bits]]
-        moved = replace(
-            result, tt=tt, witness=retarget(result.witness, result.tt.bits, tt), elapsed=elapsed
-        )
-        records.append(record_from_result(moved, backend="oracle"))
-    append_record(store, *records)
-    max_size = max([*done.values(), *(result.size for result in solved.values())])
+    max_size = max([*done.values(), *(rec.size for rec in records)])
     _emit(
         {
             "schema": "aigopt.oracle/1",

@@ -126,10 +126,12 @@ only on a hit, never per closing pair, and stops the walk by returning true.
 
 * The per-class leaf, ``exists_circuit``, accepts ``orbit(tt).members`` and
   stops at the first hit.
-* The sweep leaf, ``sweep``, accepts every function whose class is not yet
-  settled.  A hit keeps its class's first witness, removes the class's orbit
-  from the set, and the level stops once the set is empty.  That first hit is
-  the one the class's own walk would find, so the witnesses are the same.
+* The sweep leaf, ``sweep``, takes the tables its caller must settle and
+  accepts every function whose class is not yet settled.  A hit removes its
+  class's orbit from the set and moves the class's first witness onto each
+  target of the class with one ``npn.retarget``; the level stops at the hit
+  that settles the last target.  That first hit is the one the class's own
+  walk would find, so the witnesses are the same.
 
 The walk's two prunings for the per-class target at the second-to-last
 gate, that no earlier node and not the gate just placed computes a hit,
@@ -573,73 +575,73 @@ def _chain_to_circuit(n: int, chain, complement: bool) -> AigCircuit:
 def opt_size(tt: TruthTable, cfg: SynthesisConfig = DEFAULT_CONFIG) -> OptResult:
     """Minimum gate count by iterative deepening.
 
-    Status is Exact only when every smaller gate count was fully exhausted;
+    ``exhausted_below`` ends the unbroken run of gate counts 0, 1, ... proven
+    infeasible: a proof above a budget stop, or above the optimum, is no
+    floor.  Status is Exact only when that run reaches the witness's k - 1;
     any budget interruption on the way up downgrades the result to an upper
-    bound.  ``exhausted_below`` is the largest gate count proven infeasible.
+    bound.
     """
     start = time.monotonic()
     exhausted_below = -1
-    contiguous = True
     for k in range(cfg.max_gates + 1):
         outcome = exists_circuit(tt, k, cfg)
         if outcome.witness is not None:
             return OptResult(
                 tt=tt,
                 size=k,
-                status=Status.EXACT if contiguous else Status.UPPER_BOUND,
+                status=Status.EXACT if exhausted_below == k - 1 else Status.UPPER_BOUND,
                 witness=outcome.witness,
                 exhausted_below=exhausted_below,
                 elapsed=time.monotonic() - start,
             )
-        if outcome.proven_infeasible:
+        if outcome.proven_infeasible and exhausted_below == k - 1:
             exhausted_below = k
-        else:
-            contiguous = False
     raise SearchInconclusiveError(tt, cfg.max_gates, exhausted_below)
 
 
 @dataclass(frozen=True, slots=True)
 class SweepLevel:
     """One level of ``sweep``: its gate count k, the nodes its walk visited,
-    and the classes it settled, by class index, in the order found."""
+    and one result for each target it settled, in the order found."""
 
     k: int
     nodes_visited: int
-    settled: dict[int, OptResult]
+    settled: list[OptResult]
 
 
-def sweep(table: NpnClassTable, needed: Iterable[int] | None = None) -> Iterator[SweepLevel]:
-    """Settle the classes of ``table`` by walking k = 0, 1, ... once each.
+def sweep(table: NpnClassTable, targets: Iterable[TruthTable]) -> Iterator[SweepLevel]:
+    """Settle ``targets``, tables of ``table``'s n, by walking k = 0, 1, ...
+    once each.
 
-    A level accepts every function whose class is still open, keeps the
-    first witness of each class it hits, moved onto the class canon by
-    ``npn.retarget``, and closes that class's orbit.  Every class a level
-    settles is Exact with ``exhausted_below = k - 1``: the levels below were
-    walked in full.  Its ``elapsed`` is 0.0, since one walk settles many
-    classes; a caller times the sweep.  ``needed``, the class indices the
-    caller wants, is every class by default: a level stops at the hit that
-    settles the last of them, and the sweep ends there, or at once when
-    ``needed`` is empty.  A caller may stop it after any level.
+    A level accepts every function whose class is still open and closes a
+    class's orbit at its first hit, whose witness ``npn.retarget`` moves onto
+    each target of that class.  Every target a level settles is Exact with
+    ``exhausted_below = k - 1``: the levels below were walked in full.  Its
+    ``elapsed`` is 0.0, since one walk settles many targets; a caller times
+    the sweep.  A level stops at the hit that settles the last target, and
+    the sweep ends there, or at once when there is none.  A caller may stop
+    it after any level.
     """
     n = table.n
     class_of = table.function_class
-    needed = set(range(len(table)) if needed is None else needed)
+    waiting: dict[int, list[TruthTable]] = {}
+    for tt in targets:
+        waiting.setdefault(class_of[tt.bits], []).append(tt)
     open_functions = set(range(len(class_of)))
     narrow = {c.class_index for c in table if _support(c.canon) < n}
     for k in range(MAX_GATES + 1):
-        if not needed:
+        if not waiting:
             return
-        settled: dict[int, OptResult] = {}
+        settled: list[OptResult] = []
 
         def on_hit(circuit: AigCircuit, w: int) -> bool:
             index = class_of[w]
-            canon = table[index].canon
-            open_functions.difference_update(orbit(canon).members)
+            open_functions.difference_update(orbit(table[index].canon).members)
             narrow.discard(index)
-            needed.discard(index)
-            witness = retarget(circuit, w, canon)
-            settled[index] = OptResult(canon, k, Status.EXACT, witness, k - 1, 0.0)
-            return not needed
+            for tt in waiting.pop(index, ()):
+                witness = retarget(circuit, w, tt)
+                settled.append(OptResult(tt, k, Status.EXACT, witness, k - 1, 0.0))
+            return not waiting
 
         # A class of fewer than n inputs need not read them all.
         pending = 0 if narrow else (1 << (n + 1)) - 2

@@ -22,6 +22,7 @@ from aigopt.npn import (
     canonicalize,
     enumerate_classes,
     orbit,
+    retarget,
     transform_circuit,
 )
 from aigopt.repair import build_detector
@@ -232,7 +233,9 @@ def test_opt_size_downgrades_on_budget_interruption(monkeypatch):
     assert result.exhausted_below == 1
 
 
-def test_opt_size_tracks_largest_proven_level(monkeypatch):
+def test_opt_size_floor_ends_at_the_first_gap(monkeypatch):
+    """A proof above a budget stop is no floor: ``exhausted_below`` ends the
+    unbroken run of proven gate counts from k = 0."""
     import aigopt.synthesis as synthesis
 
     xor = parse_hex("0x6", 2)
@@ -249,7 +252,7 @@ def test_opt_size_tracks_largest_proven_level(monkeypatch):
     result = synthesis.opt_size(xor)
     assert result.size == 4
     assert result.status is Status.UPPER_BOUND
-    assert result.exhausted_below == 3
+    assert result.exhausted_below == 1
 
 
 def test_config_validation():
@@ -547,6 +550,10 @@ def test_deterministic_witness():
             assert to_aiger(outcome.witness) == aag, tt_hex
 
 
+def _canons(table):
+    return [c.canon for c in table]
+
+
 def test_sweep_levels_are_pinned(classes3, classes4):
     """Per level k = 0, 1, ...: the nodes the one walk visits and the classes
     it settles.  At n = 3 the inputs join the pending set from k = 4 on, once
@@ -559,32 +566,42 @@ def test_sweep_levels_are_pinned(classes3, classes4):
     }
     for table in (classes3, classes4):
         nodes, settled = pins[table.n]
-        levels = list(itertools.islice(sweep(table), len(nodes)))
+        levels = list(itertools.islice(sweep(table, _canons(table)), len(nodes)))
         assert [level.k for level in levels] == list(range(len(nodes))), table.n
         assert [level.nodes_visited for level in levels] == nodes, table.n
         assert [len(level.settled) for level in levels] == settled, table.n
 
 
 def test_sweep_stops_at_the_last_needed_class(classes4):
-    """Given the classes its caller needs, the sweep stops at the hit that
-    settles the last of them: needing only the first class level 6 settles,
+    """Given the tables its caller needs, the sweep stops at the hit that
+    settles the last of them: needing only the first canon level 6 settles,
     it walks that level only to its hit, and settles it the same way."""
-    full = list(itertools.islice(sweep(classes4), 7))
-    index, result = next(iter(full[6].settled.items()))
-    levels = list(sweep(classes4, {index}))
+    full = list(itertools.islice(sweep(classes4, _canons(classes4)), 7))
+    result = full[6].settled[0]
+    levels = list(sweep(classes4, [result.tt]))
     assert [level.nodes_visited for level in levels[:6]] == [
         level.nodes_visited for level in full[:6]
     ]
     assert len(levels) == 7 and levels[6].nodes_visited < full[6].nodes_visited
-    assert levels[6].settled == {index: result}
-    assert list(sweep(classes4, set())) == []
+    assert levels[6].settled == [result]
+    assert list(sweep(classes4, [])) == []
 
 
 def test_sweep_sizes_equal_brute_oracle_n3(classes3, oracle3):
-    size = {i: r.size for level in sweep(classes3) for i, r in level.settled.items()}
-    assert {bits: size[c] for bits, c in enumerate(classes3.function_class)} == {
-        bits: entry.size for bits, entry in oracle3.items()
+    """Swept for every function, each gets the reference size and a witness
+    that computes it: its class's first witness moved by one retarget, the
+    same circuit as moving the canon's witness on to it."""
+    functions = [TruthTable(3, bits) for bits in range(256)]
+    results = [r for level in sweep(classes3, functions) for r in level.settled]
+    assert sorted(r.tt.bits for r in results) == list(range(256))
+    canon_witness = {
+        r.tt: r.witness for level in sweep(classes3, _canons(classes3)) for r in level.settled
     }
+    for r in results:
+        assert r.size == oracle3[r.tt.bits].size, r.tt.hex()
+        assert r.witness.evaluate() == r.tt and r.witness.size() == r.size, r.tt.hex()
+        canon = classes3[classes3.function_class[r.tt.bits]].canon
+        assert r.witness == retarget(canon_witness[canon], canon.bits, r.tt), r.tt.hex()
 
 
 @pytest.mark.parametrize("n, max_gates, count", [(3, 6, 14), (4, 5, 45)])
@@ -592,12 +609,12 @@ def test_sweep_witnesses_equal_opt_size(n, max_gates, count):
     """Each class's first hit in the sweep is the first hit of its own
     per-class walk, moved onto the canon by the same transform."""
     table = enumerate_classes(n)
-    levels = itertools.islice(sweep(table), max_gates + 1)
-    settled = {i: r for level in levels for i, r in level.settled.items()}
+    levels = itertools.islice(sweep(table, _canons(table)), max_gates + 1)
+    settled = [r for level in levels for r in level.settled]
     assert len(settled) == count
     cfg = SynthesisConfig(max_gates=max_gates)
-    for index, result in settled.items():
-        expected = opt_size(table[index].canon, cfg)
+    for result in settled:
+        expected = opt_size(result.tt, cfg)
         assert result == replace(expected, elapsed=0.0), result.tt.hex()
 
 
