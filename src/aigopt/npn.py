@@ -107,11 +107,15 @@ def transform_circuit(c: AigCircuit, t: NpnTransform) -> AigCircuit:
     if t.n != c.n:
         raise ValueError(f"arity mismatch: circuit n={c.n}, transform n={t.n}")
 
+    # The image of every literal code of the constant and the inputs.
+    image = [Literal.decode(0), Literal.decode(1)]
+    for i, p in enumerate(t.perm):
+        plain = (p + 1) << 1 | (t.input_neg >> i) & 1
+        image += (Literal.decode(plain), Literal.decode(plain ^ 1))
+    limit = len(image)
+
     def move(lit: Literal) -> Literal:
-        if not 1 <= lit.node <= c.n:
-            return lit
-        i = lit.node - 1
-        return Literal(t.perm[i] + 1, lit.complement ^ bool((t.input_neg >> i) & 1))
+        return image[lit.code] if lit.code < limit else lit
 
     gates = tuple(AndGate.of(move(g.fanin0), move(g.fanin1)) for g in c.gates)
     output = move(c.output)

@@ -13,6 +13,7 @@ which is the certificate this module enforces on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .aig import AigCircuit, AndGate, Literal
 from .truthtable import Assignment, TruthTable
@@ -39,23 +40,23 @@ def build_detector(n: int, xstar: Assignment) -> AigCircuit:
     """
     if xstar.n != n:
         raise ValueError(f"arity mismatch: n={n}, assignment n={xstar.n}")
-    gates, out = _detector_parts(n, xstar, next_node=n + 1)
-    return AigCircuit(n, tuple(gates), out)
+    gates, out = _detector_parts(n, xstar.values, n + 1)
+    return AigCircuit(n, gates, out)
 
 
-def _detector_parts(
-    n: int, xstar: Assignment, next_node: int
-) -> tuple[list[AndGate], Literal]:
-    """Detector gates numbered from ``next_node`` on, plus the eq literal."""
-    literals = [
-        Literal(i + 1, complement=not xstar.bit(i)) for i in range(n)
-    ]
+# A repair of an m-gate circuit over n inputs reads the entry (n, row, n + 1 + m).
+@lru_cache(maxsize=4096)
+def _detector_parts(n: int, row: int, next_node: int) -> tuple[tuple[AndGate, ...], Literal]:
+    """Detector gates for input row ``row``, numbered from ``next_node`` on,
+    plus the eq literal."""
+    decode = Literal.decode
+    literals = [decode((i + 1) << 1 | (~row >> i) & 1) for i in range(n)]
     acc = literals[0]
     gates: list[AndGate] = []
     for lit in literals[1:]:
         gates.append(AndGate.of(acc, lit))
-        acc = Literal(next_node + len(gates) - 1, False)
-    return gates, acc
+        acc = decode((next_node + len(gates) - 1) << 1)
+    return tuple(gates), acc
 
 
 def repair_set(c: AigCircuit, xstar: Assignment) -> tuple[AigCircuit, RepairReport]:
@@ -85,10 +86,10 @@ def _repair(
         raise RepairError(
             f"{name} precondition failed: output already {value} on row {xstar.values}"
         )
-    det_gates, eq = _detector_parts(c.n, xstar, next_node=c.node_count)
+    det_gates, eq = _detector_parts(c.n, xstar.values, c.node_count)
     f = ~c.output if value else c.output
-    gates = c.gates + tuple(det_gates) + (AndGate.of(f, ~eq),)
-    repaired = AigCircuit(c.n, gates, Literal(c.n + len(gates), complement=bool(value)))
+    gates = c.gates + det_gates + (AndGate.of(f, ~eq),)
+    repaired = AigCircuit(c.n, gates, Literal.decode((c.n + len(gates)) << 1 | value))
     target = before.flip_bit(xstar.values)
     return repaired, _certify(c.size(), repaired, target, flips=1)
 

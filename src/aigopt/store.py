@@ -43,11 +43,11 @@ class ResultRecord:
 
     def verify(self) -> None:
         """Raise ValueError unless the record is internally consistent."""
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name, kind in _TYPES:
+            value = getattr(self, name)
             # Exact types: a bool is an int, and 1.0 == 1 would pass the checks below.
-            if type(value) is not {"int": int, "str": str}[field.type]:
-                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+            if type(value) is not kind:
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
         if not -1 <= self.exhausted_below <= self.size - 1:
             raise ValueError(
                 f"exhausted_below must be in -1..size-1, got {self.exhausted_below} "
@@ -78,6 +78,10 @@ class ResultRecord:
 # ``astuple`` deep-copy each field, ~13x the cost for these str and int fields.
 _NAMES = tuple(field.name for field in fields(ResultRecord))
 _values = attrgetter(*_NAMES)
+# Each field's name and exact type, for ``ResultRecord.verify``.
+_TYPES = tuple(
+    (field.name, {"int": int, "str": str}[field.type]) for field in fields(ResultRecord)
+)
 
 
 def record_from_result(result: OptResult, backend: str = "enum") -> ResultRecord:
@@ -156,10 +160,12 @@ def load_store(path: str | Path) -> LoadedStore:
                 line = line.decode("utf-8").strip()
                 if not line or line.startswith("#"):
                     continue
+                # Nesting deeper than the parser's recursion limit raises
+                # RecursionError.
                 raw = json.loads(line)
                 record = ResultRecord(**raw)
                 record.verify()
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 issues.append(LoadIssue(line_number, str(exc)))
                 continue
             key = record.tt_hex

@@ -5,8 +5,10 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given
 
+from aigopt import aig
 from aigopt.aig import (
     FALSE,
+    SHARED_CODES,
     TRUE,
     AigCircuit,
     AigerError,
@@ -141,10 +143,43 @@ def test_size_counts_gates_only():
 
 
 def test_literal_encoding():
-    assert Literal(0, False).encode() == 0
-    assert Literal(0, True).encode() == 1
-    assert Literal(3, True).encode() == 7
+    assert Literal(0, False).code == 0
+    assert Literal(0, True).code == 1
+    assert Literal(3, True).code == 7
     assert ~Literal(2, False) == Literal(2, True)
+
+
+def test_shared_literal_acts_like_a_constructed_one():
+    """``Literal.decode`` hands out the table's literal below the bound and a
+    fresh one above it; either equals, hashes, orders and prints like the
+    literal the constructor makes."""
+    codes = [0, 1, 2, 7, 12, SHARED_CODES - 2, SHARED_CODES - 1, SHARED_CODES, SHARED_CODES + 3]
+    for code in codes:
+        shared, made = Literal.decode(code), Literal(code >> 1, bool(code & 1))
+        assert (shared, hash(shared), repr(shared)) == (made, hash(made), repr(made))
+        assert shared.code == made.code == code
+        assert ~shared == ~made and ~~shared == made
+    assert Literal.decode(7) is Literal.decode(7) is ~Literal(3, False)
+    rng = random.Random(47)
+    drawn = [rng.randrange(SHARED_CODES + 100) for _ in range(200)]
+    assert sorted(map(Literal.decode, drawn)) == sorted(
+        Literal(code >> 1, bool(code & 1)) for code in drawn
+    )
+    assert [lit.code for lit in sorted(map(Literal.decode, drawn))] == sorted(drawn)
+
+
+def test_aiger_node_past_the_table_gets_a_fresh_literal():
+    # A gate reading input node 10^5: its code is far past the table, which
+    # stays as it was made.
+    n = 10**5
+    lines = [f"aag {n + 1} {n} 0 1 1", *(str(2 * v) for v in range(1, n + 1))]
+    lines += [str(2 * n + 2), f"{2 * n + 2} 2 {2 * n}"]
+    text = "\n".join(lines) + "\n"
+    c = from_aiger(text)
+    assert c.gates == (AndGate(Literal(1), Literal(n)),)
+    assert c.output == Literal(n + 1)
+    assert len(aig._SHARED) == SHARED_CODES
+    assert to_aiger(c) == text
 
 
 def test_to_aiger_empty_constant_circuit():
@@ -218,6 +253,11 @@ def test_from_aiger_errors():
         ("aag 1 1 0 1 0\n2\n2 4\n", "expected a single literal, got '2 4'"),
         ("aag 1 1 0 1 0\n2\nx\n", "malformed literal 'x'"),
         ("aag 1 1 0 1 0\n2\n-2\n", "negative literal -2"),
+        # int() takes a sign, underscores and non-ASCII digits; AIGER does not.
+        ("aag 3 2 0 1 1\n2\n4\n+6\n6 2 4\n", "malformed literal '+6'"),
+        ("aag 3 2 0 1 1\n2\n4\n6\n6 2 0_4\n", "malformed AND line '6 2 0_4'"),
+        ("aag 3 2 0 1 1\n2\n4\n6\n6 2 \u0664\n", "malformed AND line '6 2 \u0664'"),
+        ("aag \u0663 2 0 1 1\n2\n4\n6\n6 2 4\n", "malformed header 'aag \u0663 2 0 1 1'"),
         (
             "aag 3 2 0 1 1\n2\n4\n6\n6 2 2\n",
             "parsed circuit invalid: gate 0 fanins Literal(node=1, complement=False), "
@@ -228,7 +268,8 @@ def test_from_aiger_errors():
         "empty", "header-field", "header-negative-inputs", "header-negative-ands",
         "odd-input", "repeated-input", "and-two-fields",
         "and-not-int", "odd-lhs", "repeated-lhs", "output-two-fields",
-        "output-not-int", "output-negative", "repeated-fanin",
+        "output-not-int", "output-negative", "output-signed", "and-underscore",
+        "and-arabic-digit", "header-arabic-digit", "repeated-fanin",
     ],
 )
 def test_from_aiger_names_each_rejection(text, cause):

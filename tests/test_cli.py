@@ -519,6 +519,20 @@ def test_store_rejections_named_by_campaign_and_graph(capsys, tmp_path):
     assert "store line 6 rejected" in err
 
 
+def test_graph_names_a_deeply_nested_store_line(capsys, tmp_path):
+    store = tmp_path / "nested.jsonl"
+    run(capsys, "oracle", "-n", "2", "--store", str(store))
+    _, before, _ = run(capsys, "graph", "-n", "2", "--store", str(store))
+    lines = store.read_text().splitlines(keepends=True)
+    lines.insert(2, "[" * 200_000 + "]" * 200_000 + "\n")
+    store.write_text("".join(lines))
+
+    code, out, err = run(capsys, "graph", "-n", "2", "--store", str(store))
+    assert code == EXIT_OK
+    assert "store line 3 rejected" in err
+    assert out == before
+
+
 @pytest.mark.parametrize(
     "command, per_level",
     [("campaign", [2, 1, 2, 2]), ("oracle", [8, 24, 64, 30])],

@@ -15,7 +15,7 @@ from aigopt.repair import (
 from aigopt.synthesis import Status, opt_size
 from aigopt.truthtable import Assignment, TruthTable, parse_hex, var_table
 
-from helpers import random_circuit
+from helpers import circuits, random_circuit
 
 
 def minterm_circuit(bits_hex: str):
@@ -52,6 +52,29 @@ def test_detector_fires_only_on_xstar():
             det = build_detector(n, xstar)
             assert det.size() == n - 1 if n > 1 else det.size() == 0
             assert det.evaluate().bits == 1 << xstar.values
+
+
+@given(circuits(), st.data())
+def test_repair_equals_the_circuit_built_the_long_way(c, data):
+    """A repair, whose detector comes from a cache of shared literals, is the
+    circuit that fresh literals build: the detector chain over the inputs,
+    then the gate that ORs it in (set) or masks it out (clear)."""
+    row = data.draw(st.integers(0, (1 << c.n) - 1))
+    value = 1 - ((c.evaluate().bits >> row) & 1)
+    repaired, _ = (repair_set if value else repair_clear)(c, Assignment(c.n, row))
+
+    eq = Literal(1, not row & 1)
+    extra = []
+    for i in range(1, c.n):
+        extra.append(AndGate.of(eq, Literal(i + 1, not (row >> i) & 1)))
+        eq = Literal(c.node_count + len(extra) - 1, False)
+    f = Literal(c.output.node, c.output.complement != bool(value))
+    extra.append(AndGate.of(f, Literal(eq.node, not eq.complement)))
+    out = Literal(c.node_count + len(extra) - 1, bool(value))
+    long_way = AigCircuit(c.n, c.gates + tuple(extra), out)
+
+    assert repaired == long_way
+    assert repaired.evaluate() == long_way.evaluate() == c.evaluate().flip_bit(row)
 
 
 def test_repair_set_paper_edge():

@@ -185,6 +185,19 @@ def test_torn_last_line_costs_no_later_record(tmp_path):
     assert [issue.line_number for issue in loaded.issues] == [3]
 
 
+def test_deeply_nested_line_reported_with_number(tmp_path):
+    """A line nested deeper than the JSON parser recurses is one rejected
+    line; the records after it still load."""
+    path = tmp_path / "store.jsonl"
+    append_record(path, record_from_result(opt_size(parse_hex("0x1", 2))))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("[" * 200_000 + "]" * 200_000 + "\n")
+    append_record(path, make_record())
+    loaded = load_store(path)
+    assert sorted(loaded.best) == ["0x1", "0x6"]
+    assert [issue.line_number for issue in loaded.issues] == [3]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"timestamp": 5}, {"size": 1.0, "exhausted_below": 0.0}],

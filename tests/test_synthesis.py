@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import aigopt
+from aigopt import synthesis
 from aigopt.aig import AigCircuit, AndGate, Literal, from_aiger, to_aiger
 from aigopt.cnf import decode_model, encode_cnf
 from aigopt.npn import (
@@ -161,6 +162,27 @@ def test_budget_bounds_the_search_not_the_orbit_build():
     orbit.cache_clear()
     outcome = exists_circuit(parse_hex("0x8080808080808080", 6), 2, SynthesisConfig(time_budget=0.005))
     assert outcome.witness is not None and outcome.witness.size() == 2
+
+
+def test_first_lists_of_an_n_are_built_before_the_clock(monkeypatch):
+    """The first query of an n builds the input group, the dead pairs and the
+    first two gates' lists before its clock starts: a k = 2 query finds them
+    built at its first clock read and builds nothing after."""
+    caches = (synthesis._input_group, synthesis._dead_sigs, synthesis._live_pairs, _gate_choices)
+    for cache in caches:
+        cache.cache_clear()
+    built = []
+
+    def clock():
+        built.append(tuple(cache.cache_info().currsize for cache in caches))
+        return 0.0
+
+    monkeypatch.setattr(synthesis, "time", types.SimpleNamespace(monotonic=clock))
+    tt = parse_hex("0x8080808080808080", 6)
+    outcome = exists_circuit(tt, 2, SynthesisConfig(time_budget=1.0))
+    assert outcome.witness is not None and outcome.witness.evaluate() == tt
+    assert built[0] == (1, 1, 1, 2)
+    assert set(built) == {built[0]}
 
 
 def test_canonicalize_then_opt_size_walk_the_orbit_once(monkeypatch):
